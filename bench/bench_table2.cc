@@ -62,9 +62,12 @@ int main(int argc, char** argv) {
     double product = 1.0;
     std::size_t above_1_5 = 0;
     for (const auto& cell : cells) {
-      table.add_row({"(" + std::to_string(cell.n) + "," +
-                         std::to_string(static_cast<int>(cell.bandwidth_mbps)) +
-                         ")",
+      std::string label = "(";
+      label += std::to_string(cell.n);
+      label += ',';
+      label += std::to_string(static_cast<int>(cell.bandwidth_mbps));
+      label += ')';
+      table.add_row({label,
                      TextTable::num(cell.robust_aimd_friendliness, 4),
                      TextTable::num(cell.pcc_friendliness, 4),
                      TextTable::num(cell.improvement(), 2) + "x"});

@@ -2,11 +2,12 @@
 //
 // The repository has two simulators of the same physical situation: the
 // paper's discrete-time fluid model (src/fluid, 1 step = 1 RTT) and a
-// packet-level discrete-event dumbbell (src/sim). A ScenarioSpec captures
-// everything both need — the link, the senders, the horizon, injected loss,
-// perturbation schedules, and a seed — in the fluid model's units (steps,
-// MSS), and a SimBackend (backend.h) turns it into a run. The packet backend
-// converts steps to wall-clock time via the link RTT.
+// packet-level discrete-event network (src/sim, sim::MultiHopNetwork). A
+// ScenarioSpec captures everything both need — the link or topology, the
+// senders, the horizon, injected loss, perturbation schedules, and a seed —
+// in the fluid model's units (steps, MSS), and a SimBackend (backend.h)
+// turns it into a run. The packet backend converts steps to wall-clock time
+// via the smallest route RTT (the link RTT for a single-link spec).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,7 @@
 #include "fluid/trace.h"
 #include "recorder/recorder.h"
 #include "scope/scope.h"
-#include "sim/dumbbell.h"
+#include "sim/network.h"
 #include "util/check.h"
 
 namespace axiomcc::engine {
@@ -133,7 +134,7 @@ using LossFactory =
     std::function<std::unique_ptr<fluid::LossInjector>(std::uint64_t seed)>;
 
 /// Per-step observer with the same shape as fluid::FluidSimulation's
-/// StepMonitor and sim::DumbbellExperiment's StepMonitorFn: called after each
+/// StepMonitor and sim::MultiHopNetwork's StepMonitorFn: called after each
 /// recorded step with (step, windows, rtt_seconds, congestion_loss);
 /// returning false ends the run early, keeping the steps recorded so far.
 using StepMonitor = std::function<bool(

@@ -5,8 +5,9 @@
 // single shared link. This header provides the standard shapes:
 //
 //   * dumbbell_topology  — the degenerate one-link network (every flow
-//     routed over link 0), useful for exercising the topology path against
-//     the single-link path;
+//     routed over link 0); the packet backend runs single-link specs on
+//     it, and the fluid topology path can be checked against the
+//     single-link path with it;
 //   * apply_parking_lot  — the classic k-bottleneck parking lot: one long
 //     flow over links 0..k−1 plus per-link cross traffic, the smallest
 //     topology where multi-hop beat-down appears;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "cc/presets.h"
 #include "core/evaluator.h"
@@ -29,6 +30,17 @@ engine::ScenarioSpec cell_spec(const EmulabGridConfig& cfg, double bw,
   spec.seed = cfg.seed;
   spec.tail_fraction = cfg.tail_fraction;
   return spec;
+}
+
+/// Telemetry span label of one grid cell ("n2/bw30.000000/buf100").
+[[maybe_unused]] std::string cell_label(int n, double bw, std::size_t buffer) {
+  std::string label = "n";
+  label += std::to_string(n);
+  label += "/bw";
+  label += std::to_string(bw);
+  label += "/buf";
+  label += std::to_string(buffer);
+  return label;
 }
 
 /// Staggered start in fractional steps: flow i joins at 0.05·i seconds.
@@ -114,9 +126,7 @@ std::vector<EmulabCell> run_emulab_grid(const EmulabGridConfig& cfg) {
         const int n = cfg.sender_counts[i / per_n];
         const double bw = cfg.bandwidths_mbps[(i / per_bw) % cfg.bandwidths_mbps.size()];
         const std::size_t buffer = cfg.buffers_packets[i % per_bw];
-        TELEMETRY_SPAN_DYN("exp.emulab", "n" + std::to_string(n) + "/bw" +
-                                             std::to_string(bw) + "/buf" +
-                                             std::to_string(buffer));
+        TELEMETRY_SPAN_DYN("exp.emulab", cell_label(n, bw, buffer));
         TELEMETRY_COUNT("exp.emulab.cells", 1);
 
         const auto reno = cc::presets::reno();

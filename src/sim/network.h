@@ -1,48 +1,71 @@
-// network.h — multi-hop packet-level topologies (beyond the dumbbell).
+// network.h — the packet-level simulation substrate: flows over routed links.
 //
-// Generalizes dumbbell.h to arbitrary per-flow routes over shared links:
-// packets are forwarded hop by hop through each link's queue; the last hop
+// Packets are forwarded hop by hop through each link's queue; the last hop
 // delivers to the flow's receiver, whose ACK returns after the route's
 // reverse propagation delay. This is the packet-level counterpart of
-// fluid/network.h (the paper's "network-wide interaction" future work) and
-// ships the same parking-lot builder.
+// fluid/network.h (the paper's "network-wide interaction" future work), and
+// every packet scenario runs on it: the paper's single-bottleneck dumbbell
+// (Section 5.1) is the one-link case (sim/dumbbell.h builds it), and
+// engine::PacketBackend runs single-link specs as a one-link network.
 //
-// The network carries the full engine-substrate hook set the dumbbell has:
-// flow churn (start/stop times), a forward-path packet filter for injected
-// loss, a step monitor that can stop the run at a trace sample, per-flow tail
-// reports, and mutable link access for mid-run rate/delay schedules —
-// engine::PacketBackend routes topology scenarios here.
+// The network carries the full engine-substrate hook set: per-link queue
+// disciplines (droptail or RED), flow churn (start/stop times), a
+// forward-path packet filter for injected loss, a step monitor that can stop
+// the run at a trace sample, per-flow tail reports, and mutable link access
+// for mid-run rate/delay schedules.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "cc/protocol.h"
+#include "fluid/link.h"
 #include "fluid/trace.h"
-#include "sim/dumbbell.h"
 #include "sim/event.h"
 #include "sim/link.h"
 #include "sim/loss.h"
+#include "sim/queue.h"
 #include "sim/receiver.h"
 #include "sim/sender.h"
 
 namespace axiomcc::sim {
+
+/// A fluid link in packet units.
+struct PacketLinkParams {
+  double mbps = 0.0;
+  double one_way_delay_ms = 0.0;
+  std::size_t buffer_packets = 1;
+};
+
+/// Converts the fluid model's link parameters into packet units. This is the
+/// ONE place where the MSS-denominated fluid units (B in MSS/s, Θ one-way
+/// seconds, buffer in MSS) become packet-level units (Mbps, one-way ms,
+/// whole packets), so both simulators agree about what a "link" means.
+[[nodiscard]] PacketLinkParams packet_link_from_fluid(
+    const fluid::LinkParams& link, int mss_bytes);
+
+/// Tail-of-run summary for one flow.
+struct FlowReport {
+  std::string protocol_name;
+  double avg_window_mss = 0.0;
+  double throughput_mbps = 0.0;
+  double loss_rate = 0.0;
+  double avg_rtt_ms = 0.0;
+};
 
 class MultiHopNetwork {
  public:
   struct Config {
     double duration_seconds = 30.0;
     int mss_bytes = 1500;
-    /// Window-sampling cadence for the Trace view; 0 picks the smallest
-    /// route round-trip.
-    double sample_interval_ms = 0.0;
     double tail_fraction = 0.5;
-    /// Hard cwnd cap passed to every sender (see DumbbellConfig: runaway
-    /// windows scale the event count, so they must be capped).
+    /// Hard cwnd cap passed to every sender. The fluid model tolerates
+    /// essentially unbounded windows; a packet simulation's event count
+    /// scales with the real window, so runaway protocols must be capped.
     double max_window_mss = 1e7;
   };
 
@@ -51,29 +74,40 @@ class MultiHopNetwork {
   MultiHopNetwork(const MultiHopNetwork&) = delete;
   MultiHopNetwork& operator=(const MultiHopNetwork&) = delete;
 
-  /// Adds a unidirectional link (droptail); returns its id.
+  /// Adds a unidirectional link queueing through `queue`; returns its id.
   int add_link(double mbps, double one_way_delay_ms,
-               std::size_t buffer_packets);
+               std::unique_ptr<QueueDiscipline> queue);
+  /// Adds a droptail link of `buffer_packets`; returns its id.
+  int add_link(double mbps, double one_way_delay_ms,
+               std::size_t buffer_packets) {
+    return add_link(mbps, one_way_delay_ms,
+                    std::make_unique<DropTailQueue>(buffer_packets));
+  }
 
   /// Adds a flow routed over `route` (ordered link ids). The reverse path is
-  /// modeled as a fixed delay equal to the route's total one-way propagation.
-  /// A non-negative `stop_seconds` removes the flow at that time (churn).
+  /// modeled as a fixed delay equal to the route's total one-way propagation,
+  /// which must be positive. A non-negative `stop_seconds` removes the flow
+  /// at that time (churn).
   int add_flow(std::unique_ptr<cc::Protocol> protocol, std::vector<int> route,
                double start_seconds = 0.0, double initial_window = 2.0,
                double stop_seconds = -1.0);
 
-  /// Same shape as DumbbellExperiment's monitor: called after every trace
-  /// sample with (step, windows, rtt_seconds, congestion_loss); returning
-  /// false stops the simulation at that sample. Must be set before run().
+  /// Called after every trace sample with (step, windows, rtt_seconds,
+  /// congestion_loss); returning false stops the simulation at that sample
+  /// (the trace keeps the steps recorded so far). Must be set before run().
   using StepMonitorFn = std::function<bool(
       long step, std::span<const double> windows, double rtt_seconds,
       double congestion_loss)>;
   void set_step_monitor(StepMonitorFn monitor);
 
   /// Injected (non-congestion) loss applied to forward data packets on final
-  /// delivery, as in the dumbbell. Default: none. Must be set before run().
+  /// delivery: the packet crossed every queue but never reaches the
+  /// receiver. Default: none. Replaces any earlier filter; must be set
+  /// before run().
   void set_forward_filter(std::unique_ptr<PacketFilter> filter);
 
+  /// Runs for the configured duration, sampling the trace once per smallest
+  /// route round-trip. Call once.
   void run();
 
   [[nodiscard]] int num_flows() const {
@@ -87,8 +121,6 @@ class MultiHopNetwork {
   /// Mutable link access for mid-run perturbation (rate or delay schedules
   /// installed by the engine backend).
   [[nodiscard]] SimLink& mutable_link(int id);
-  [[nodiscard]] double link_mbps(int id) const;
-  [[nodiscard]] double link_delay_ms(int id) const;
   [[nodiscard]] Simulator& simulator() { return simulator_; }
 
   /// Sampled per-flow window trace (valid after run()); capacity is the
@@ -100,7 +132,7 @@ class MultiHopNetwork {
   /// Tail-average goodput of a flow in Mbps (valid after run()).
   [[nodiscard]] double flow_throughput_mbps(int flow) const;
 
-  /// Per-flow tail summaries, as in DumbbellExperiment (valid after run()).
+  /// Per-flow tail summaries (valid after run()).
   [[nodiscard]] std::vector<FlowReport> flow_reports() const;
 
   /// Delivered bits over capacity·duration of the MOST utilized link — the
@@ -110,6 +142,7 @@ class MultiHopNetwork {
 
  private:
   void sample_trace();
+  [[nodiscard]] FlowReport flow_report(int flow) const;
 
   Config config_;
   Simulator simulator_;
@@ -122,9 +155,7 @@ class MultiHopNetwork {
     std::size_t accepted_at_last_sample = 0;
   };
   struct FlowInfo {
-    std::vector<int> route;
-    /// next_hop[link_id] = index into route of the hop AFTER link_id.
-    std::unordered_map<int, std::size_t> next_hop;
+    std::vector<int> route;  ///< loop-free, so a link id names its hop.
     double start_seconds = 0.0;
     double stop_seconds = -1.0;
     double route_rtt_ms = 0.0;
@@ -142,7 +173,7 @@ class MultiHopNetwork {
   bool monitor_stopped_ = false;
 
   std::unique_ptr<fluid::Trace> trace_;
-  std::vector<std::size_t> eval_frontier_;
+  std::vector<std::size_t> eval_frontier_;  ///< per-sender evaluated-MI cursor.
   bool ran_ = false;
 };
 

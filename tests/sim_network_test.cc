@@ -190,6 +190,23 @@ TEST(MultiHopNetwork, MutableLinkRetargetsRateMidRun) {
   EXPECT_GT(net.flow_throughput_mbps(f), 2.0);
 }
 
+TEST(MultiHopNetwork, LinksQueueThroughTheirDiscipline) {
+  MultiHopNetwork net(quick_config());
+  REDQueue::Params red;
+  red.capacity_packets = 100;
+  red.min_threshold = 5.0;
+  red.max_threshold = 20.0;
+  const int l = net.add_link(10.0, 20.0, std::make_unique<REDQueue>(red));
+  net.add_flow(cc::presets::reno(), {l});
+  net.run();
+  const auto* queue = dynamic_cast<const REDQueue*>(&net.link(l).queue());
+  ASSERT_NE(queue, nullptr);
+  // RED drops early, so the queue stays far below its 100-packet buffer:
+  // the RTT stays under 40 ms + 50 packets × 1.2 ms.
+  EXPECT_GT(queue->drops(), 0u);
+  EXPECT_LT(net.flow_reports()[0].avg_rtt_ms, 40.0 + 50 * 1.2);
+}
+
 TEST(MultiHopNetwork, ContractChecks) {
   MultiHopNetwork net(quick_config());
   EXPECT_THROW(net.run(), ContractViolation);  // no flows
@@ -200,6 +217,12 @@ TEST(MultiHopNetwork, ContractChecks) {
                ContractViolation);  // repeated link
   EXPECT_THROW(net2.add_flow(cc::presets::reno(), {l + 3}),
                ContractViolation);  // unknown link
+  const int instant = net2.add_link(10.0, 0.0, 10);
+  EXPECT_THROW(net2.add_flow(cc::presets::reno(), {instant}),
+               ContractViolation);  // zero route RTT
+  MultiHopNetwork net3(quick_config());
+  net3.add_flow(cc::presets::reno(), {net3.add_link(10.0, 1e-7, 10)});
+  EXPECT_THROW(net3.run(), ContractViolation);  // sub-ns sampling interval
 
   net2.add_flow(cc::presets::reno(), {l});
   net2.run();
