@@ -9,9 +9,9 @@
 // workload with probes runtime-disabled vs runtime-enabled. Both land in
 // BENCH_micro.json. Pass --benchmark_filter=... etc. through to
 // google-benchmark as usual; --skip-pool / --skip-overhead skip the
-// respective pre-suite bench, --senders-scaling[=maxN] adds the scalar-vs-
-// batch population-scaling bench (default maxN 100000; =1000000 adds the
-// million-sender batch-only point), --telemetry[=path] and
+// respective pre-suite bench, --senders-scaling[=maxN] adds the fluid
+// population-scaling bench (default maxN 100000; =1000000 adds the
+// million-sender point), --telemetry[=path] and
 // --backend=fluid|packet (AXIOMCC_BACKEND env; drives the EvalConfig-based
 // benches) work as in the other benches. --record[=dir,classes=mask]
 // flight-records one representative parking-lot run per backend into dir
@@ -259,19 +259,17 @@ void run_pool_throughput_bench(BenchReport& bench) {
   std::printf("\n");
 }
 
-/// Population-scaling bench for the fluid engine's SoA batch path: scalar vs
-/// batch senders/sec (and cells/sec = senders·steps/sec) at growing n, both
-/// sides on aggregate traces so trace retention never dominates. Runs once
+/// Population-scaling bench for the fluid engine: senders/sec (and
+/// cells/sec = senders·steps/sec) at growing n on aggregate traces — the
+/// uniform-cohort loop — so trace retention never dominates. Runs once
 /// before the google-benchmark suite when --senders-scaling[=maxN] is given
 /// and lands in BENCH_senders_scaling.json / its own ledger group, so the
-/// artifact carries the machine's measured population-scaling curve. n above
-/// 100k (e.g. the million-sender point, =1000000) runs the batch path only —
-/// the scalar path at that scale is minutes, which is the point of the
-/// batch path.
+/// artifact carries the machine's measured population-scaling curve
+/// (=1000000 adds the million-sender point).
 void run_senders_scaling_bench(BenchReport& bench, long max_n) {
   constexpr long kSteps = 1000;
   const long jobs = hardware_jobs();
-  const auto run_population = [&](long n, bool batch) {
+  const auto run_population = [&](long n) {
     // Per-sender bandwidth held constant so dynamics are n-independent.
     const auto link = fluid::make_link_mbps(
         std::max(30.0, 0.03 * static_cast<double>(n)), 42.0, 100.0);
@@ -279,8 +277,7 @@ void run_senders_scaling_bench(BenchReport& bench, long max_n) {
     opt.steps = kSteps;
     opt.trace_detail = fluid::TraceDetail::kAggregate;
     opt.tracked_senders = 8;
-    opt.batch = batch;
-    opt.jobs = batch ? jobs : 1;
+    opt.jobs = jobs;
     fluid::FluidSimulation sim(link, opt);
     sim.add_senders(cc::Aimd(1.0, 0.5), n, 2.0);
     WallTimer timer;
@@ -292,28 +289,15 @@ void run_senders_scaling_bench(BenchReport& bench, long max_n) {
               kSteps, jobs);
   for (const long n : {1000L, 10000L, 100000L, 1000000L}) {
     if (n > max_n) break;
-    const bool run_scalar = n <= 100000;
-    const double batch_sec = run_population(n, /*batch=*/true);
+    const double batch_sec = run_population(n);
     const double cells = static_cast<double>(n) * static_cast<double>(kSteps);
     const std::string suffix = "_n" + std::to_string(n);
     bench.add_phase("batch" + suffix, batch_sec);
     bench.add_counter("batch_cells_per_sec" + suffix, cells / batch_sec);
     bench.add_counter("batch_senders_per_sec" + suffix,
                       static_cast<double>(n) / batch_sec);
-    if (run_scalar) {
-      const double scalar_sec = run_population(n, /*batch=*/false);
-      bench.add_phase("scalar" + suffix, scalar_sec);
-      bench.add_counter("scalar_cells_per_sec" + suffix, cells / scalar_sec);
-      bench.add_counter("batch_speedup" + suffix, scalar_sec / batch_sec);
-      std::printf(
-          "n=%-8ld scalar %8.3fs  batch %8.3fs  %8.2fM cells/s  "
-          "speedup %.2fx\n",
-          n, scalar_sec, batch_sec, cells / batch_sec / 1e6,
-          scalar_sec / batch_sec);
-    } else {
-      std::printf("n=%-8ld batch %8.3fs  %8.2fM cells/s  (scalar skipped)\n",
-                  n, batch_sec, cells / batch_sec / 1e6);
-    }
+    std::printf("n=%-8ld %8.3fs  %8.2fM cells/s\n", n, batch_sec,
+                cells / batch_sec / 1e6);
   }
   bench.add_counter("senders_scaling_steps", static_cast<double>(kSteps));
   std::printf("\n");

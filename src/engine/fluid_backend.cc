@@ -1,13 +1,13 @@
 // fluid_backend.cc — executes a ScenarioSpec on the fluid model.
 //
-// Single-link scenarios run on fluid::FluidSimulation with a construction
-// sequence (options, senders in slot order, loss injector, schedules,
-// monitor) that mirrors the pre-engine call sites exactly, so a scenario run
-// through this backend is bit-identical with the same scenario built against
-// fluid::FluidSimulation by hand. Topology scenarios (spec.topology
-// non-empty) run on fluid::FluidNetwork instead, with sender slots flattened
-// to one routed flow per cohort member so cohort ids line up with the packet
-// backend's flow ids.
+// Every scenario runs on fluid::FluidNetwork through one construction
+// sequence (options, links, flows in slot order, loss injector, schedules,
+// monitor) that mirrors the direct fluid API, so a scenario run through this
+// backend is bit-identical with the same scenario built against
+// fluid::FluidSimulation or fluid::FluidNetwork by hand. A single-link spec
+// is the one-link network with each sender slot one cohort routed over
+// link 0; a topology spec flattens its slots to one routed flow per cohort
+// member, so cohort ids line up with the packet backend's flow ids.
 #include <cmath>
 #include <utility>
 
@@ -15,52 +15,10 @@
 #include "engine/topology.h"
 #include "engine/workload.h"
 #include "fluid/network.h"
-#include "fluid/sim.h"
 #include "telemetry/telemetry.h"
 #include "util/check.h"
 
 namespace axiomcc::engine {
-namespace {
-
-RunTrace run_topology(const ScenarioSpec& spec,
-                      const std::vector<SenderSlot>& slots) {
-  fluid::NetworkOptions options;
-  options.steps = spec.steps;
-  options.min_window_mss = spec.min_window_mss;
-  options.max_window_mss = spec.max_window_mss;
-  options.trace_detail = spec.trace_detail;
-  options.tracked_senders = spec.tracked_senders;
-  options.record_sink = spec.record_sink;
-  options.scope_sink = spec.scope_sink;
-
-  fluid::FluidNetwork net(options);
-  for (const fluid::LinkParams& params : spec.topology.links) {
-    net.add_link(params);
-  }
-  for (const SenderSlot& slot : slots) {
-    AXIOMCC_EXPECTS(slot.prototype != nullptr);
-    // Cohorts flatten to one flow per member so flow ids match the packet
-    // backend's (slot order, then member order).
-    for (long j = 0; j < slot.count; ++j) {
-      fluid::FluidNetwork::FlowSpec fs;
-      fs.protocol = slot.prototype->clone();
-      fs.route = slot.route;
-      fs.initial_window_mss = slot.initial_window_mss;
-      fs.start_step = std::lround(slot.start_step);
-      fs.stop_step = slot.stop_step < 0.0 ? -1 : std::lround(slot.stop_step);
-      net.add_flow(std::move(fs));
-    }
-  }
-  if (spec.loss) net.set_loss_injector(spec.loss(spec.seed));
-  if (spec.bandwidth_scale) net.set_bandwidth_schedule(spec.bandwidth_scale);
-  if (spec.rtt_scale) net.set_rtt_schedule(spec.rtt_scale);
-  if (spec.step_monitor) net.set_step_monitor(spec.step_monitor);
-
-  TELEMETRY_COUNT("engine.fluid_topology_runs", 1);
-  return RunTrace{net.run(), BackendKind::kFluid, {}, -1.0};
-}
-
-}  // namespace
 
 RunTrace FluidBackend::run(const ScenarioSpec& spec) const {
   AXIOMCC_EXPECTS_MSG(!spec.senders.empty(),
@@ -79,7 +37,6 @@ RunTrace FluidBackend::run(const ScenarioSpec& spec) const {
     spec.scope_sink->resolve(spec.steps, spec.tail_fraction, 0.0, 0.0, 0.0);
     spec.scope_sink->set_recorder(spec.record_sink);
   }
-  if (!spec.topology.empty()) return run_topology(spec, slots);
 
   fluid::SimOptions options;
   options.steps = spec.steps;
@@ -87,31 +44,44 @@ RunTrace FluidBackend::run(const ScenarioSpec& spec) const {
   options.max_window_mss = spec.max_window_mss;
   options.trace_detail = spec.trace_detail;
   options.tracked_senders = spec.tracked_senders;
-  options.batch = spec.batch;
   options.jobs = spec.jobs;
   options.record_sink = spec.record_sink;
   options.scope_sink = spec.scope_sink;
 
-  fluid::FluidSimulation sim(spec.link, options);
+  const bool single_link = spec.topology.empty();
+  fluid::FluidNetwork net = single_link
+                                ? fluid::FluidNetwork(spec.link, options)
+                                : fluid::FluidNetwork(options);
+  for (const fluid::LinkParams& params : spec.topology.links) {
+    net.add_link(params);
+  }
   for (const SenderSlot& slot : slots) {
     AXIOMCC_EXPECTS(slot.prototype != nullptr);
-    fluid::SenderSpec fs;
-    fs.protocol = slot.prototype->clone();
-    fs.initial_window_mss = slot.initial_window_mss;
-    // Fractional slot steps (the packet backend's sub-step staggered starts)
-    // round to the nearest whole fluid step.
-    fs.start_step = std::lround(slot.start_step);
-    fs.stop_step = slot.stop_step < 0.0 ? -1 : std::lround(slot.stop_step);
-    // A slot is one cohort: count senders share the single cloned prototype.
-    sim.add_senders(std::move(fs), slot.count);
+    const auto flow = [&] {
+      fluid::SenderSpec fs;
+      fs.protocol = slot.prototype->clone();
+      fs.initial_window_mss = slot.initial_window_mss;
+      // Fractional slot steps (the packet backend's sub-step staggered
+      // starts) round to the nearest whole fluid step.
+      fs.start_step = std::lround(slot.start_step);
+      fs.stop_step = slot.stop_step < 0.0 ? -1 : std::lround(slot.stop_step);
+      fs.route = single_link ? std::vector<int>{0} : slot.route;
+      return fs;
+    };
+    if (single_link) {
+      // A slot is one cohort: count senders share the single clone.
+      net.add_flows(flow(), slot.count);
+    } else {
+      for (long j = 0; j < slot.count; ++j) net.add_flow(flow());
+    }
   }
-  if (spec.loss) sim.set_loss_injector(spec.loss(spec.seed));
-  if (spec.bandwidth_scale) sim.set_bandwidth_schedule(spec.bandwidth_scale);
-  if (spec.rtt_scale) sim.set_rtt_schedule(spec.rtt_scale);
-  if (spec.step_monitor) sim.set_step_monitor(spec.step_monitor);
+  if (spec.loss) net.set_loss_injector(spec.loss(spec.seed));
+  if (spec.bandwidth_scale) net.set_bandwidth_schedule(spec.bandwidth_scale);
+  if (spec.rtt_scale) net.set_rtt_schedule(spec.rtt_scale);
+  if (spec.step_monitor) net.set_step_monitor(spec.step_monitor);
 
   TELEMETRY_COUNT("engine.fluid_runs", 1);
-  return RunTrace{sim.run(), BackendKind::kFluid, {}, -1.0};
+  return RunTrace{net.run(), BackendKind::kFluid, {}, -1.0};
 }
 
 const SimBackend& backend_for(BackendKind kind) {

@@ -1,8 +1,10 @@
 // scenario.h — a backend-neutral description of one simulation run.
 //
 // The repository has two simulators of the same physical situation: the
-// paper's discrete-time fluid model (src/fluid, 1 step = 1 RTT) and a
-// packet-level discrete-event network (src/sim, sim::MultiHopNetwork). A
+// paper's discrete-time fluid model (src/fluid, fluid::FluidNetwork, 1 step
+// = 1 RTT) and a packet-level discrete-event network (src/sim,
+// sim::MultiHopNetwork). Each backend runs every scenario, single-link or
+// routed, on its one network substrate. A
 // ScenarioSpec captures everything both need — the link or topology, the
 // senders, the horizon, injected loss, perturbation schedules, and a seed —
 // in the fluid model's units (steps, MSS), and a SimBackend (backend.h)
@@ -112,9 +114,9 @@ struct SenderSlot {
   double start_step = 0.0;
   double stop_step = -1.0;
   /// Senders this slot expands to (a homogeneous cohort sharing the
-  /// prototype). The fluid backend keeps the cohort intact — one prototype,
-  /// O(1) allocations on the batch path; the packet backend adds `count`
-  /// flows.
+  /// prototype). On a single link the fluid backend keeps the cohort intact
+  /// — one prototype, O(1) allocations; on a topology it adds `count`
+  /// routed flows, as the packet backend does.
   long count = 1;
   /// Topology mode only: the ordered link ids this slot's flows traverse.
   /// Must be empty when `ScenarioSpec::topology` is empty (single-link
@@ -133,7 +135,7 @@ using StepSchedule = std::function<double(long)>;
 using LossFactory =
     std::function<std::unique_ptr<fluid::LossInjector>(std::uint64_t seed)>;
 
-/// Per-step observer with the same shape as fluid::FluidSimulation's
+/// Per-step observer with the same shape as fluid::FluidNetwork's
 /// StepMonitor and sim::MultiHopNetwork's StepMonitorFn: called after each
 /// recorded step with (step, windows, rtt_seconds, congestion_loss);
 /// returning false ends the run early, keeping the steps recorded so far.
@@ -176,9 +178,11 @@ struct ScenarioSpec {
   /// packet backend reduces its full trace post-hoc).
   fluid::TraceDetail trace_detail = fluid::TraceDetail::kFull;
   int tracked_senders = 8;
-  /// Fluid backend only: opt into the SoA cohort execution path
-  /// (bit-identical to the scalar path) and its shard count (0 = hardware).
+  /// Selects nothing: every fluid run takes the cohort engine. The field
+  /// stays because the benchmark driver (perfbench/driver/) sets and reads
+  /// it; removing it waits for a change to the benchmark.
   bool batch = false;
+  /// Fluid backend only: shard count for the cohort loops (0 = hardware).
   long jobs = 1;
   /// Flight-recorder capture options (event classes, ring depth, sample
   /// stride). `record.enabled` is the master switch; the sink below must

@@ -5,169 +5,42 @@
 // the aggregate window; every sender observes them (plus any injected
 // non-congestion loss) and picks its next window via its Protocol.
 //
-// Two execution paths produce bit-identical traces:
-//  - the scalar path (default): one virtual Protocol::next_window call per
-//    sender per step, exactly the original tick loop;
-//  - the batch path (SimOptions::batch): senders grouped into homogeneous
-//    cohorts advance through SoA kernels (cc::BatchProtocol) in one pass per
-//    cohort, with the per-sender elementwise loops sharded across
-//    util/task_pool in fixed-size chunks. Families without a kernel fall
-//    back to per-sender virtual dispatch inside their cohort. Determinism:
-//    the aggregate-window fold and stateful loss sampling stay serial in
-//    ascending sender order, and sharded loops are pure elementwise writes
-//    over fixed ranges, so any jobs count yields the scalar path's bytes.
+// FluidSimulation is a builder: it configures the one-link fluid::FluidNetwork
+// (network.h) and routes every sender over link 0, so the tick loops, the
+// cohort execution, the hooks (loss injector, schedules, step monitor) and
+// the recorder/scope emission are the network's. A sender is a flow; sender
+// ids are flow ids.
 #pragma once
-
-#include <functional>
-#include <memory>
-#include <span>
-#include <vector>
 
 #include "cc/protocol.h"
 #include "fluid/link.h"
-#include "fluid/loss_model.h"
+#include "fluid/network.h"
 #include "fluid/trace.h"
-#include "recorder/recorder.h"
-#include "scope/scope.h"
 
 namespace axiomcc::fluid {
 
-/// One sender: a protocol plus its initial window.
-///
-/// `update_period`/`update_phase` model UNSYNCHRONIZED feedback (a paper
-/// future-work item): the sender consults its protocol only at steps t with
-/// t ≡ phase (mod period), holding its window in between. The default
-/// (period 1) is the paper's synchronized model. The observation delivered
-/// at an update step aggregates the steps since the previous update: worst
-/// (max) loss, mean RTT.
-///
-/// `start_step`/`stop_step` model flow churn (stress scenarios): the sender
-/// is active on steps t with start ≤ t < stop (negative stop → forever).
-/// While inactive its window is exactly 0 — it contributes nothing to the
-/// aggregate and its protocol is not consulted; on joining it restarts from
-/// `initial_window_mss` like a fresh connection.
-struct SenderSpec {
-  std::unique_ptr<cc::Protocol> protocol;
-  double initial_window_mss = 1.0;
-  long update_period = 1;
-  long update_phase = 0;
-  long start_step = 0;
-  long stop_step = -1;
-};
-
-/// Simulation-wide options.
-struct SimOptions {
-  long steps = 2000;             ///< number of RTT steps to simulate.
-  double min_window_mss = 1.0;   ///< window floor (avoids x^-k singularities).
-  double max_window_mss = 1e9;   ///< the paper's M (1 << M).
-  /// Trace retention: kFull keeps every sender's series; kAggregate keeps
-  /// per-step population statistics plus `tracked_senders` full series, so
-  /// trace memory is independent of the population size.
-  TraceDetail trace_detail = TraceDetail::kFull;
-  int tracked_senders = 8;       ///< k for kAggregate (clamped to n).
-  /// Opts into the SoA cohort execution path (bit-identical to scalar).
-  bool batch = false;
-  /// Shard count for the batch path's elementwise loops: >0 explicit, 0 =
-  /// resolve_jobs (AXIOMCC_JOBS / hardware). Traces are identical at any
-  /// value; this is purely a throughput knob.
-  long jobs = 1;
-  /// Non-owning flight-recorder sink (null = no recording). All emission
-  /// happens from the serial sections of the tick loops — churn/schedule/
-  /// loss transitions plus stride-sampled windows — so recordings are
-  /// byte-identical across execution paths and job counts.
-  recorder::Recorder* record_sink = nullptr;
-  /// Non-owning streaming-metric scope (null = no scope). Fed from the same
-  /// serial sections as the recorder — one step_begin/observe/step_end
-  /// sweep per step, with per-cohort repeated-add folds on the uniform
-  /// path — so its series is byte-identical across execution paths and job
-  /// counts. When `record_sink` is also installed, closed metric windows
-  /// are forwarded to it as kMetric events.
-  scope::MetricScope* scope_sink = nullptr;
-};
-
-/// Runs the fluid model and records a Trace.
-class FluidSimulation {
+/// Runs the single-link fluid model and records a Trace.
+class FluidSimulation final : public FluidNetwork {
  public:
-  FluidSimulation(const LinkParams& link, SimOptions options = {});
+  FluidSimulation(const LinkParams& link, SimOptions options = {})
+      : FluidNetwork(link, options) {}
 
   /// Adds a sender. The protocol prototype is cloned, so one prototype can
   /// seed many senders.
   void add_sender(const cc::Protocol& prototype, double initial_window_mss);
   void add_sender(SenderSpec spec);
 
-  /// Adds `count` senders sharing one spec. The cohort stores ONE prototype
-  /// regardless of count — the batch path runs kernel cohorts without any
-  /// per-sender clone, and the scalar path clones per sender lazily at run
-  /// time — so constructing a million-sender population is O(1) protocol
-  /// allocations for batchable families.
+  /// Adds a cohort of `count` senders sharing one spec and ONE prototype
+  /// (see FluidNetwork::add_flows), so constructing a million-sender
+  /// population is O(1) protocol allocations.
   void add_senders(SenderSpec spec, long count);
   void add_senders(const cc::Protocol& prototype, long count,
                    double initial_window_mss);
 
-  /// Installs a non-congestion loss injector (applies to all senders).
-  /// Default: no injected loss.
-  void set_loss_injector(std::unique_ptr<LossInjector> injector);
-
-  /// Installs a time-varying bandwidth schedule: the link's bandwidth at
-  /// step t is scale(t) × the configured bandwidth (buffer unchanged).
-  /// Models capacity changes (handover, cross-traffic departure) for the
-  /// responsiveness metric; default is the constant schedule scale ≡ 1.
-  void set_bandwidth_schedule(std::function<double(long)> scale);
-
-  /// Installs a time-varying propagation-delay schedule: the link's one-way
-  /// delay at step t is scale(t) × the configured delay. Models RTT
-  /// inflation (path changes, bufferbloat upstream). Note that scaling Θ
-  /// also scales the capacity C = B·2Θ, as it does physically.
-  void set_rtt_schedule(std::function<double(long)> scale);
-
-  /// Per-step observer, called at the end of each step (after the step is
-  /// recorded) with that step's index, the per-sender windows the protocols
-  /// just chose for the NEXT step, the step RTT, and the congestion-loss
-  /// rate. Returning false stops the run early (the trace keeps the steps
-  /// recorded so far) — the hook the guarded stress runner uses to catch
-  /// divergence (NaN, blowup) before the link's preconditions explode on it.
-  using StepMonitor = std::function<bool(
-      long step, std::span<const double> windows, double rtt_seconds,
-      double congestion_loss)>;
-  void set_step_monitor(StepMonitor monitor);
-
   /// Number of senders added so far.
-  [[nodiscard]] int num_senders() const {
-    return static_cast<int>(total_senders_);
-  }
+  [[nodiscard]] int num_senders() const { return num_flows(); }
 
-  [[nodiscard]] const FluidLink& link() const { return link_; }
-
-  [[nodiscard]] const SimOptions& options() const { return options_; }
-
-  /// Runs the configured number of steps and returns the trace.
-  /// Requires at least one sender. May be called once per simulation object.
-  [[nodiscard]] Trace run();
-
- private:
-  /// A contiguous run of `count` senders sharing one SenderSpec (the
-  /// protocol member is the shared prototype). add_sender makes count-1
-  /// groups, so the sender index space is the concatenation of groups in
-  /// insertion order — identical to the historical flat vector.
-  struct SenderGroup {
-    SenderSpec spec;
-    long count = 1;
-  };
-
-  [[nodiscard]] Trace make_trace() const;
-  [[nodiscard]] Trace run_scalar();
-  [[nodiscard]] Trace run_batch();
-  [[nodiscard]] Trace run_batch_uniform();
-
-  FluidLink link_;
-  SimOptions options_;
-  std::vector<SenderGroup> groups_;
-  long total_senders_ = 0;
-  std::unique_ptr<LossInjector> injector_;
-  std::function<double(long)> bandwidth_scale_;
-  std::function<double(long)> rtt_scale_;
-  StepMonitor step_monitor_;
-  bool ran_ = false;
+  [[nodiscard]] const FluidLink& link() const { return FluidNetwork::link(0); }
 };
 
 /// Convenience: runs `n` identical senders of `prototype` on `link` with the

@@ -593,9 +593,9 @@ CompiledScenario compile_scenario(const ScenarioDesc& desc) {
   // The execution axes must not change what the oracle can see: an
   // aggregate trace tracks the whole population (fuzz scenarios are small,
   // so the estimators keep reading every sender's series and classify
-  // exactly as they would a full trace), and the batch path runs at jobs=1
-  // — already byte-identical to any job count, and keeping run_scenario
-  // pure for the fuzz loop's own fan-out.
+  // exactly as they would a full trace), and fluid runs go at jobs=1 —
+  // already byte-identical to any job count, and keeping run_scenario pure
+  // for the fuzz loop's own fan-out.
   if (desc.aggregate_trace) {
     out.spec.trace_detail = fluid::TraceDetail::kAggregate;
     // Workload generators change the run's population; track the expanded

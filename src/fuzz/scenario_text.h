@@ -71,7 +71,7 @@ struct LossDesc {
 
 /// One sender slot, with the protocol as a cc::make_protocol spec string.
 /// `count` > 1 makes the slot a homogeneous cohort (engine::SenderSlot's
-/// cohort expansion — the fluid batch path keeps it as one cohort, the
+/// cohort expansion — the fluid backend keeps it as one cohort, the
 /// packet backend adds `count` flows).
 struct SenderDesc {
   std::string protocol = "reno";
@@ -129,10 +129,14 @@ struct ScenarioDesc {
   double tail_fraction = 0.5;
   std::uint64_t seed = 42;
   /// Execution axes: an aggregate trace (per-step population statistics
-  /// plus tracked series) and/or the fluid backend's SoA batch path. Both
-  /// are byte-identity-preserving by contract, so they change which code
-  /// runs, never the expected outcome class — the axes exist to drag the
-  /// batch/aggregate machinery through the fuzzer's scenario space.
+  /// plus tracked series), which moves fluid runs onto the uniform-cohort
+  /// loop and is byte-identity-preserving by contract, so it changes which
+  /// code runs, never the expected outcome class. `batch` (`exec batch`)
+  /// once selected the fluid backend's cohort path; every fluid run takes
+  /// it now, so the flag selects nothing. It stays a mutation, minimizer
+  /// and novelty axis so the fuzzer's draws, corpus text and coverage keys
+  /// are unchanged, and because the benchmark driver (perfbench/driver/)
+  /// reads it.
   bool aggregate_trace = false;
   bool batch = false;
   /// 0 = the classic single shared link (`link` directive only). k >= 1

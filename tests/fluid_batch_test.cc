@@ -1,9 +1,12 @@
-// fluid_batch_test.cc — scalar-vs-batch equivalence for the SoA cohort path.
+// fluid_batch_test.cc — cohort-layout equivalence for the fluid engine.
 //
-// The contract under test (src/cc/batch.h, src/fluid/sim.h): for every
+// The contract under test (src/cc/batch.h, src/fluid/network.h): for every
 // protocol family, at any population size, across churn, injected loss,
-// unsynchronized update periods, and any shard count, the batch execution
-// path produces a byte-identical Trace to the scalar per-sender path.
+// unsynchronized update periods, and any shard count, a population added as
+// cohorts (one shared prototype, SoA kernels, the uniform loop where it
+// applies) produces a byte-identical Trace to the same population added
+// sender by sender, each a cohort of one with its own protocol instance.
+// tests/fluid_golden_digest_test.cc pins the bytes themselves.
 #include <cstring>
 #include <memory>
 #include <string>
@@ -63,21 +66,27 @@ struct RunConfig {
 // Small link so windows hit droptail loss quickly at any population size.
 LinkParams test_link() { return fluid::make_link_mbps(24.0, 40.0, 60.0); }
 
+/// Runs `cfg` with each group added as one cohort (`cohorts`) or sender by
+/// sender.
 Trace run_config(const cc::Protocol& prototype, const RunConfig& cfg,
-                 bool batch) {
+                 bool cohorts) {
   SimOptions options;
   options.steps = cfg.steps;
   options.trace_detail = cfg.detail;
   options.tracked_senders = cfg.tracked;
-  options.batch = batch;
   options.jobs = cfg.jobs;
   FluidSimulation sim(test_link(), options);
 
   const auto cohort = [&](long count, double initial, long start, long stop) {
-    if (count <= 0) return;
-    SenderSpec spec{prototype.clone(), initial, cfg.update_period,
-                    cfg.update_phase, start, stop};
-    sim.add_senders(std::move(spec), count);
+    const auto spec = [&] {
+      return SenderSpec{prototype.clone(), initial, cfg.update_period,
+                        cfg.update_phase, start, stop};
+    };
+    if (cohorts) {
+      if (count > 0) sim.add_senders(spec(), count);
+      return;
+    }
+    for (long i = 0; i < count; ++i) sim.add_sender(spec());
   };
   if (cfg.churn && cfg.n >= 3) {
     const long third = cfg.n / 3;
@@ -131,11 +140,11 @@ void expect_trace_identical(const Trace& a, const Trace& b) {
   }
 }
 
-void expect_scalar_batch_identical(const cc::Protocol& prototype,
+void expect_layouts_identical(const cc::Protocol& prototype,
                                    const RunConfig& cfg) {
-  const Trace scalar = run_config(prototype, cfg, /*batch=*/false);
-  const Trace batch = run_config(prototype, cfg, /*batch=*/true);
-  expect_trace_identical(scalar, batch);
+  const Trace per_sender = run_config(prototype, cfg, /*cohorts=*/false);
+  const Trace cohorts = run_config(prototype, cfg, /*cohorts=*/true);
+  expect_trace_identical(per_sender, cohorts);
 }
 
 class EveryFamily : public ::testing::TestWithParam<std::string> {};
@@ -158,7 +167,7 @@ TEST_P(EveryFamily, PopulationSizes) {
     RunConfig cfg;
     cfg.n = n;
     cfg.steps = n >= 1000 ? 60 : 120;
-    expect_scalar_batch_identical(*prototype, cfg);
+    expect_layouts_identical(*prototype, cfg);
   }
 }
 
@@ -167,18 +176,18 @@ TEST_P(EveryFamily, ChurnAndInjectedLoss) {
   RunConfig churn;
   churn.n = 64;
   churn.churn = true;
-  expect_scalar_batch_identical(*prototype, churn);
+  expect_layouts_identical(*prototype, churn);
 
   RunConfig lossy;
   lossy.n = 7;
   lossy.injected_loss = true;
-  expect_scalar_batch_identical(*prototype, lossy);
+  expect_layouts_identical(*prototype, lossy);
 
   RunConfig both;
   both.n = 33;
   both.churn = true;
   both.injected_loss = true;
-  expect_scalar_batch_identical(*prototype, both);
+  expect_layouts_identical(*prototype, both);
 }
 
 TEST_P(EveryFamily, UnsynchronizedUpdates) {
@@ -187,13 +196,13 @@ TEST_P(EveryFamily, UnsynchronizedUpdates) {
   cfg.n = 7;
   cfg.update_period = 3;
   cfg.update_phase = 1;
-  expect_scalar_batch_identical(*prototype, cfg);
+  expect_layouts_identical(*prototype, cfg);
 
   cfg.update_period = 5;
   cfg.update_phase = 0;
   cfg.churn = true;
   cfg.n = 12;
-  expect_scalar_batch_identical(*prototype, cfg);
+  expect_layouts_identical(*prototype, cfg);
 }
 
 TEST_P(EveryFamily, ShardedJobsMatchSerial) {
@@ -204,10 +213,10 @@ TEST_P(EveryFamily, ShardedJobsMatchSerial) {
   serial.jobs = 1;
   RunConfig sharded = serial;
   sharded.jobs = 4;
-  const Trace scalar = run_config(*prototype, serial, /*batch=*/false);
-  const Trace jobs1 = run_config(*prototype, serial, /*batch=*/true);
-  const Trace jobs4 = run_config(*prototype, sharded, /*batch=*/true);
-  expect_trace_identical(scalar, jobs1);
+  const Trace per_sender = run_config(*prototype, serial, /*cohorts=*/false);
+  const Trace jobs1 = run_config(*prototype, serial, /*cohorts=*/true);
+  const Trace jobs4 = run_config(*prototype, sharded, /*cohorts=*/true);
+  expect_trace_identical(per_sender, jobs1);
   expect_trace_identical(jobs1, jobs4);
 }
 
@@ -218,7 +227,7 @@ TEST_P(EveryFamily, AggregateMatchesScalarAggregate) {
   cfg.churn = true;
   cfg.detail = TraceDetail::kAggregate;
   cfg.tracked = 5;
-  expect_scalar_batch_identical(*prototype, cfg);
+  expect_layouts_identical(*prototype, cfg);
 }
 
 TEST(FluidBatch, SlowStartWrapperBatches) {
@@ -230,27 +239,27 @@ TEST(FluidBatch, SlowStartWrapperBatches) {
   for (const int n : {1, 7, 64}) {
     RunConfig cfg;
     cfg.n = n;
-    expect_scalar_batch_identical(prototype, cfg);
+    expect_layouts_identical(prototype, cfg);
   }
   RunConfig churned;
   churned.n = 21;
   churned.churn = true;
   churned.injected_loss = true;
-  expect_scalar_batch_identical(prototype, churned);
+  expect_layouts_identical(prototype, churned);
   RunConfig unsync;
   unsync.n = 9;
   unsync.update_period = 2;
   unsync.update_phase = 1;
-  expect_scalar_batch_identical(prototype, unsync);
+  expect_layouts_identical(prototype, unsync);
 }
 
 TEST(FluidBatch, SlowStartOverStatefulInnerStaysScalar) {
   const cc::SlowStartWrapper wrapped(cc::make_protocol("cubic(0.4,0.8)"), 64.0);
   EXPECT_EQ(wrapped.batch_kernel(), nullptr);
-  // ... and still runs correctly through the batch path's fallback cohorts.
+  // ... and still runs correctly through per-member dispatch in a cohort.
   RunConfig cfg;
   cfg.n = 7;
-  expect_scalar_batch_identical(wrapped, cfg);
+  expect_layouts_identical(wrapped, cfg);
 }
 
 TEST(FluidBatch, MixedCohortsKernelAndFallback) {
@@ -258,14 +267,24 @@ TEST(FluidBatch, MixedCohortsKernelAndFallback) {
   // fallback cohorts (CUBIC) in one simulation.
   const auto aimd = cc::make_protocol("aimd(1,0.5)");
   const auto cubic = cc::make_protocol("cubic(0.4,0.8)");
-  const auto build = [&](bool batch) {
+  const auto build = [&](bool cohorts) {
     SimOptions options;
     options.steps = 100;
-    options.batch = batch;
     FluidSimulation sim(test_link(), options);
-    sim.add_senders(*aimd, 20, 2.0);
-    sim.add_senders(*cubic, 20, 2.0);
-    sim.add_senders(SenderSpec{aimd->clone(), 1.0, 1, 0, 25, 75}, 10);
+    const auto add = [&](const cc::Protocol& proto, long count,
+                         double initial, long start, long stop) {
+      const auto spec = [&] {
+        return SenderSpec{proto.clone(), initial, 1, 0, start, stop};
+      };
+      if (cohorts) {
+        sim.add_senders(spec(), count);
+      } else {
+        for (long i = 0; i < count; ++i) sim.add_sender(spec());
+      }
+    };
+    add(*aimd, 20, 2.0, 0, -1);
+    add(*cubic, 20, 2.0, 0, -1);
+    add(*aimd, 10, 1.0, 25, 75);
     return sim.run();
   };
   expect_trace_identical(build(false), build(true));
@@ -289,12 +308,12 @@ TEST(FluidBatch, AggregateStatsMatchFullTrace) {
   RunConfig full_cfg;
   full_cfg.n = 30;
   full_cfg.churn = true;
-  const Trace full = run_config(*prototype, full_cfg, /*batch=*/false);
+  const Trace full = run_config(*prototype, full_cfg, /*cohorts=*/false);
 
   RunConfig agg_cfg = full_cfg;
   agg_cfg.detail = TraceDetail::kAggregate;
   agg_cfg.tracked = 3;
-  const Trace agg = run_config(*prototype, agg_cfg, /*batch=*/true);
+  const Trace agg = run_config(*prototype, agg_cfg, /*cohorts=*/true);
 
   ASSERT_EQ(full.num_steps(), agg.num_steps());
   expect_span_identical(full.total_window(), agg.total_window(),
@@ -342,7 +361,6 @@ TEST(FluidBatch, AggregateTraceMemoryIsPopulationIndependent) {
   const auto prototype = cc::make_protocol("aimd(1,0.5)");
   SimOptions options;
   options.steps = 50;
-  options.batch = true;
   options.trace_detail = TraceDetail::kAggregate;
   options.tracked_senders = 4;
   FluidSimulation sim(test_link(), options);

@@ -1,11 +1,12 @@
-// Chrome-trace export round-trip and snapshot identity for the batch tick
-// loop's telemetry. Two contracts:
+// Chrome-trace export round-trip and snapshot identity for the telemetry of
+// the fluid engine's materialized cohort loop (span sim.tick_loop.batch).
+// Two contracts:
 //
-//  * spans recorded while the batch path fans out over the task pool
+//  * spans recorded while the loop fans out over the task pool
 //    survive a write_chrome_trace -> parse_chrome_trace round trip exactly
 //    (category, name, thread, timing — the inspect/triage workflow reads
 //    traces back from disk);
-//  * the deterministic counter snapshot of a batch run is byte-identical
+//  * the deterministic counter snapshot of such a run is byte-identical
 //    at --jobs=1 and --jobs=4 — the telemetry face of the determinism
 //    contract the trace-level tests already pin.
 //
@@ -38,12 +39,11 @@ class EnabledScope {
   bool was_;
 };
 
-/// Runs a materialized batch-path simulation (full-detail trace keeps the
-/// uniform fast path out) at the given fan-out width.
+/// Runs a materialized-loop simulation (a full-detail trace keeps the
+/// uniform loop out) at the given fan-out width.
 fluid::Trace run_batch_sim(long jobs) {
   fluid::SimOptions options;
   options.steps = 200;
-  options.batch = true;
   options.jobs = jobs;
   options.trace_detail = fluid::TraceDetail::kFull;
   fluid::FluidSimulation sim(fluid::make_link_mbps(30.0, 42.0, 100.0),
