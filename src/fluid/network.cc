@@ -185,6 +185,9 @@ class LinkStep {
     return route_loss_[c];
   }
   [[nodiscard]] double route_rtt(std::size_t c) const { return route_rtt_[c]; }
+  [[nodiscard]] std::span<const double> route_losses() const {
+    return route_loss_;
+  }
   [[nodiscard]] double max_loss() const { return max_loss_; }
   [[nodiscard]] double step_rtt() const { return step_rtt_; }
 
@@ -270,13 +273,14 @@ class StepRecorder {
   }
 
   /// Called once per step at the trace-record point, with the values the
-  /// trace sees (pre-update windows). `cohort_window`/`cohort_observed` map
-  /// a cohort index to its representative's values; `flow_window` maps a
+  /// trace sees (pre-update windows). `route_loss` is each cohort's own
+  /// composed congestion loss; `cohort_window`/`cohort_observed` map a
+  /// cohort index to its representative's values; `flow_window` maps a
   /// flow id to its window (full detail only).
   template <typename CohortWindow, typename CohortObserved,
             typename FlowWindow>
   void on_step(long step, double total, double rtt_value,
-               double congestion_loss,
+               double congestion_loss, std::span<const double> route_loss,
                CohortWindow&& cohort_window, CohortObserved&& cohort_observed,
                FlowWindow&& flow_window, long num_flows) {
     using recorder::EventClass;
@@ -328,19 +332,20 @@ class StepRecorder {
       }
       if (lossy) last_loss_ = congestion_loss;
       // Injected (non-congestion) loss becoming visible to a cohort:
-      // combine_loss is strictly increasing in the injected component, so
-      // observed > congestion exactly when the injector contributed. On a
-      // multi-hop route the composed congestion loss can exceed the
-      // recorded (max-link) rate, which this comparison approximates.
+      // combine_loss is strictly increasing in the injected component and
+      // returns the route's own congestion loss unchanged when nothing is
+      // injected, so observed > route loss exactly when the injector
+      // contributed. (A multi-hop route's composed loss exceeds every
+      // single link's rate, so the step's max-link rate would not do.)
       for (std::size_t ci = 0; ci < cohorts_.size(); ++ci) {
         const bool active = active_at(*cohorts_[ci].spec, step);
         const double observed = active ? cohort_observed(ci) : 0.0;
-        const bool visible = active && observed > congestion_loss;
+        const bool visible = active && observed > route_loss[ci];
         if (visible != static_cast<bool>(injected_visible_[ci])) {
           sink_->emit({step, EventClass::kLoss,
                        visible ? EventCode::kInjected : EventCode::kClear,
                        Subject::kCohort, static_cast<int>(ci), observed,
-                       congestion_loss});
+                       route_loss[ci]});
           injected_visible_[ci] = visible ? 1 : 0;
         }
       }
@@ -803,7 +808,7 @@ void FluidNetwork::run_materialized(RunContext& ctx) {
       ctx.trace.add_step(windows, rtt_value, congestion_loss, observed);
     }
     ctx.srec.on_step(
-        step, total, rtt_value, congestion_loss,
+        step, total, rtt_value, congestion_loss, ctx.step.route_losses(),
         [&](std::size_t ci) { return windows[cohorts[ci].begin]; },
         [&](std::size_t ci) { return observed[cohorts[ci].begin]; },
         [&](long i) { return windows[i]; }, n);
@@ -1076,7 +1081,7 @@ void FluidNetwork::run_uniform(RunContext& ctx) {
                                          congestion_loss, tracked_w,
                                          tracked_obs);
     ctx.srec.on_step(
-        step, total, rtt_value, congestion_loss,
+        step, total, rtt_value, congestion_loss, ctx.step.route_losses(),
         [&](std::size_t ci) { return cohorts[ci].w; },
         [&](std::size_t ci) { return cohorts[ci].obs; },
         [](long) { return 0.0; }, num_flows_);

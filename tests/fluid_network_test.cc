@@ -290,6 +290,35 @@ TEST(FluidNetwork, RecorderCapturesNetworkRuns) {
   EXPECT_TRUE(saw_window);
 }
 
+TEST(FluidNetwork, RecorderReportsNoInjectedLossWithoutAnInjector) {
+  // A long flow's composed congestion loss exceeds every single link's
+  // rate, so comparing its observed loss with the step's max-link rate
+  // would flag injected loss where no injector is installed.
+  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
+  recorder::RecordOptions ropts;
+  ropts.enabled = true;
+  recorder::Recorder sink(ropts);
+  NetworkOptions opt;
+  opt.steps = 2000;
+  opt.record_sink = &sink;
+  ParkingLot lot = make_parking_lot(make_link_mbps(30.0, 42.0, 100.0), 2,
+                                    cc::Aimd(1.0, 0.5), opt);
+  const Trace trace = lot.network.run();
+
+  // The long flow does see more loss than either link drops on its own...
+  bool composed_exceeds_links = false;
+  for (std::size_t t = 0; t < trace.num_steps(); ++t) {
+    composed_exceeds_links |= trace.observed_loss(lot.long_flow)[t] >
+                              trace.congestion_loss()[t];
+  }
+  EXPECT_TRUE(composed_exceeds_links);
+  // ...yet none of it is injected.
+  for (const recorder::Event& e : sink.snapshot().events) {
+    EXPECT_NE(e.code, recorder::EventCode::kInjected)
+        << "step " << e.step << " subject " << e.subject;
+  }
+}
+
 TEST(FluidNetwork, ContractChecks) {
   FluidNetwork net;
   EXPECT_THROW((void)net.run(), ContractViolation);  // no flows
