@@ -624,12 +624,12 @@ const std::map<std::string, Digests>& golden() {
       {"churn_fractional_starts", {0xa15d2950b3b70f4eULL, 0x54501855e2328b01ULL, 0x2fb9e3f6866697e1ULL, 0xe3590440dabbf51eULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"corpus_batch_cohort_aggregate", {0xa6f25bacacd2722eULL, 0x34746bf5a94ca239ULL, 0xc8a8ff1b175c2794ULL, 0xceb68e80be0a1895ULL, 0xee08f0950f0fe13eULL, 0x0000000000000000ULL}},
       {"corpus_divergence_outage_aimd", {0x8cf6be47c25c4738ULL, 0x7c0e99e66a2c6680ULL, 0xab772dbf8b2d15cfULL, 0x7c88473f93ee5d87ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
-      {"corpus_divergence_parking_lot_beatdown", {0x7296cad902108783ULL, 0x5ed7874600fb2f0aULL, 0x4d986e8477d5c482ULL, 0x179166a16bf45630ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
+      {"corpus_divergence_parking_lot_beatdown", {0x7296cad902108783ULL, 0x5ed7874600fb2f0aULL, 0x4d986e8477d5c482ULL, 0x8ca05ae995fa8fc1ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"corpus_divergence_rtt_step_veno", {0x71a635e7d55e3b34ULL, 0xcd39707e9228cea0ULL, 0x70f1a079b0a0a37dULL, 0x4d9bf3c4cd9020feULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"corpus_divergence_zero_buffer", {0xfc4048ce1c3a81c4ULL, 0xaf9d9b762779b403ULL, 0x07ab5d9257ac1eebULL, 0x0fdd6f26e8e5927cULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"corpus_fault_late_joiner_contract", {0xc0dedead00000001ULL, 0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
-      {"direct_network_hooks", {0xa25628ef65cb1d26ULL, 0xbd607b693c0bd75cULL, 0x0c1172d9080e524cULL, 0x98d5c81442564de9ULL, 0x0000000000000000ULL, 0xe3c9df13d09c7fd8ULL}},
-      {"direct_parking_lot", {0xad8bd950be61df8eULL, 0x84d6d78a2760c52eULL, 0xd9ad39667a1931d4ULL, 0x63e0aab590da154eULL, 0x0000000000000000ULL, 0x39df2369fcdac777ULL}},
+      {"direct_network_hooks", {0xa25628ef65cb1d26ULL, 0xbd607b693c0bd75cULL, 0x0c1172d9080e524cULL, 0xa62bda5c7cf75080ULL, 0x0000000000000000ULL, 0xe3c9df13d09c7fd8ULL}},
+      {"direct_parking_lot", {0xad8bd950be61df8eULL, 0x84d6d78a2760c52eULL, 0xd9ad39667a1931d4ULL, 0x091bc1b9b2d7c054ULL, 0x0000000000000000ULL, 0x39df2369fcdac777ULL}},
       {"family_aimd_1_0_5__aggregate_batch", {0xff1195f75ac96c67ULL, 0xa724f2d610f72960ULL, 0x7e0f1acefc37bbc4ULL, 0xb7371f6262a6e59fULL, 0x9e0aa63d3025b0a7ULL, 0x0000000000000000ULL}},
       {"family_aimd_1_0_5__aggregate_scalar", {0xff1195f75ac96c67ULL, 0xa724f2d610f72960ULL, 0x7e0f1acefc37bbc4ULL, 0xb7371f6262a6e59fULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"family_aimd_1_0_5__batch_j1", {0xbe240ec5336e36adULL, 0x9ccadf9c2afe7c16ULL, 0x05f4235a0575d8feULL, 0x6563dc6f8c62a217ULL, 0x60741eeb688eb0ffULL, 0x0000000000000000ULL}},
@@ -712,10 +712,10 @@ const std::map<std::string, Digests>& golden() {
       {"injector_bernoulli", {0xf61f97a87e8f80c5ULL, 0x320d0e94531c3801ULL, 0x2637ae9b8992745aULL, 0x60dc54fa062fa0f6ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"injector_constant", {0x9b69957551e8dc7fULL, 0x49084084aa7ca28dULL, 0xc2a158cd5b9d60a6ULL, 0xd24af030c6828373ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"injector_gilbert_elliott", {0x8e769cb4a82dbef1ULL, 0x573a839c40fb3fcbULL, 0x7764610b1cffa939ULL, 0x974a2c3ff3e6e4edULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
-      {"parking_lot", {0x4cea472119b35958ULL, 0x24f91c8682ae222fULL, 0xa321155b6508e080ULL, 0x69eaa91c2751968dULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
+      {"parking_lot", {0x4cea472119b35958ULL, 0x24f91c8682ae222fULL, 0xa321155b6508e080ULL, 0xd3b75025708efcb5ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"parking_lot_aggregate", {0xe390333f2ec0ec58ULL, 0xc7c40e16b4c590eeULL, 0xf3e360cd12d03ea5ULL, 0x3c8825d57c414555ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
-      {"parking_lot_cohort", {0x14f64dbe5a5837d7ULL, 0x0bdab6fd6ad387efULL, 0x05e0980cb8b1c9d2ULL, 0xbe7475c6a8f68d3eULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
-      {"parking_lot_rtt_schedule", {0x10dd7a89293727dbULL, 0x1a3b720cec25c651ULL, 0x12a92bd4ff49221bULL, 0xf5411f02ba5984e3ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
+      {"parking_lot_cohort", {0x14f64dbe5a5837d7ULL, 0x0bdab6fd6ad387efULL, 0x05e0980cb8b1c9d2ULL, 0x6f3a0634a7587a1cULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
+      {"parking_lot_rtt_schedule", {0x10dd7a89293727dbULL, 0x1a3b720cec25c651ULL, 0x12a92bd4ff49221bULL, 0xdeceb223b7bdc6f5ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"rtt_schedule", {0x23c49ec0e701a02bULL, 0x84a04ba53a089822ULL, 0x15726cc0ae43ef8bULL, 0xa51dd030a540c447ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
       {"sharded_40k_bernoulli", {0xeab6aa16712bee0dULL, 0xf9bd3ab28ba1b3cdULL, 0xf8f9ff85c9495e4bULL, 0xc0ca61f875a132d6ULL, 0x79bdbcaf985cad55ULL, 0x0000000000000000ULL}},
       {"step_monitor_stop", {0x2c74413a1cf2f995ULL, 0xc3726c6e84157b85ULL, 0x19ab0ff268007cc5ULL, 0xb452c0a55a83e142ULL, 0x0000000000000000ULL, 0x0000000000000000ULL}},
