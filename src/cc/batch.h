@@ -7,15 +7,16 @@
 // the current observation (plus at most a few doubles of per-sender state)
 // implements BatchProtocol alongside Protocol and advertises itself via
 // Protocol::batch_kernel(); stateful families (CUBIC's clocks, Vegas
-// baselines, BBR phases) simply return nullptr and keep the per-sender
-// scalar path.
+// baselines, BBR phases) simply return nullptr and keep per-sender
+// virtual dispatch.
 //
 // Contract: next_window_batch over a span must produce BIT-IDENTICAL output
 // to calling the scalar next_window element by element. Kernels therefore
 // use the same arithmetic expressions as their scalar twins (the build uses
 // baseline x86-64 with no FMA contraction, so shared expressions evaluate
-// identically), and the simulator's scalar-vs-batch equivalence suite
-// (tests/fluid_batch_test.cc) enforces the contract for every family.
+// identically). tests/fluid_batch_test.cc enforces the contract for every
+// family by comparing cohorts with per-sender instances, and
+// tests/fluid_golden_digest_test.cc pins the resulting bytes.
 #pragma once
 
 #include <span>

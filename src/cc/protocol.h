@@ -50,8 +50,8 @@ class Protocol {
   /// Clears per-connection history so the instance can be reused.
   virtual void reset() = 0;
 
-  /// The protocol's SoA batch kernel, or nullptr when only the scalar path
-  /// exists. A non-null kernel must satisfy the bit-identity contract in
+  /// The protocol's SoA batch kernel, or nullptr when only the scalar
+  /// next_window exists. A non-null kernel must satisfy the bit-identity contract in
   /// batch.h; the fluid simulator uses it to advance homogeneous cohorts in
   /// one pass instead of n virtual calls.
   [[nodiscard]] virtual const BatchProtocol* batch_kernel() const {

@@ -23,9 +23,9 @@ class LossInjector {
   [[nodiscard]] virtual std::unique_ptr<LossInjector> clone() const = 0;
   /// True when sample() is a pure function of the step — every sender sees
   /// the same value and no internal RNG or channel state advances per call.
-  /// The batch simulator uses this to broadcast one sample per cohort (and
-  /// to keep homogeneous cohorts provably uniform); stateful injectors keep
-  /// the scalar path's exact ascending call sequence.
+  /// The fluid engine uses this to broadcast one sample per cohort (and to
+  /// keep homogeneous cohorts provably uniform); stateful injectors are
+  /// sampled once per active flow, in ascending flow order.
   [[nodiscard]] virtual bool stateless() const { return false; }
 };
 

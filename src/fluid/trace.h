@@ -150,7 +150,7 @@ class Trace {
   }
 
   /// Aggregate-mode append when the caller has already gathered the tracked
-  /// senders' values (the uniform-cohort batch path never materializes
+  /// senders' values (the uniform-cohort loop never materializes
   /// per-sender arrays). `tracked_windows`/`tracked_observed` are in
   /// tracked_senders() order.
   void add_step_aggregate_tracked(double total_window, double window_min,

@@ -20,7 +20,7 @@
 //            loss-avoidance, latency-avoidance.
 //
 // Memory is O(classes + links + windows) — independent of the sender count,
-// so the million-sender batch path keeps its footprint. The one exception is
+// so the million-sender uniform-cohort loop keeps its footprint. The one exception is
 // fast-utilization, which retains the per-step aggregate-window series (the
 // same footprint the aggregate trace already pays) because the paper's
 // coefficient samples start offsets that are only known once the horizon or
