@@ -157,20 +157,22 @@ class LinkStep {
     // shared value when every active route agrees (always, on one link),
     // and the zero-load floor of the shortest route when no flow is active.
     long active = 0;
+    std::size_t first = 0;
     bool all_equal = true;
     for (std::size_t c = 0; c < routes_.size(); ++c) {
       const long n = active_flows(c);
       if (n == 0) continue;
-      if (active > 0 && route_rtt_[c] != route_rtt_[first_active_]) {
+      if (active == 0) {
+        first = c;
+      } else if (route_rtt_[c] != route_rtt_[first]) {
         all_equal = false;
       }
-      if (active == 0) first_active_ = c;
       active += n;
     }
     if (active == 0) {
       step_rtt_ = *std::min_element(route_rtt_.begin(), route_rtt_.end());
     } else if (all_equal) {
-      step_rtt_ = route_rtt_[first_active_];
+      step_rtt_ = route_rtt_[first];
     } else {
       double sum = 0.0;
       for (std::size_t c = 0; c < routes_.size(); ++c) {
@@ -223,7 +225,6 @@ class LinkStep {
   std::vector<double> utilization_sum_;
   std::vector<double> route_loss_;
   std::vector<double> route_rtt_;
-  std::size_t first_active_ = 0;
   double max_loss_ = 0.0;
   double step_rtt_ = 0.0;
   int rounds_ = 1;

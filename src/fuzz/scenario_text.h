@@ -132,11 +132,10 @@ struct ScenarioDesc {
   /// plus tracked series), which moves fluid runs onto the uniform-cohort
   /// loop and is byte-identity-preserving by contract, so it changes which
   /// code runs, never the expected outcome class. `batch` (`exec batch`)
-  /// once selected the fluid backend's cohort path; every fluid run takes
-  /// it now, so the flag selects nothing. It stays a mutation, minimizer
-  /// and novelty axis so the fuzzer's draws, corpus text and coverage keys
-  /// are unchanged, and because the benchmark driver (perfbench/driver/)
-  /// reads it.
+  /// selects nothing: every fluid run takes the cohort engine. It stays a
+  /// mutation, minimizer and novelty axis so the fuzzer's draws, corpus
+  /// text and coverage keys are unchanged, and because the benchmark
+  /// driver (perfbench/driver/) reads it.
   bool aggregate_trace = false;
   bool batch = false;
   /// 0 = the classic single shared link (`link` directive only). k >= 1
