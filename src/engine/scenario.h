@@ -179,8 +179,8 @@ struct ScenarioSpec {
   fluid::TraceDetail trace_detail = fluid::TraceDetail::kFull;
   int tracked_senders = 8;
   /// Selects nothing: every fluid run takes the cohort engine. The field
-  /// stays because the benchmark driver (perfbench/driver/) sets and reads
-  /// it; removing it waits for a change to the benchmark.
+  /// stays because the benchmark's workload code (perfbench/driver/) sets
+  /// and reads it; removing it waits for a change to the benchmark.
   bool batch = false;
   /// Fluid backend only: shard count for the cohort loops (0 = hardware).
   long jobs = 1;

@@ -134,8 +134,8 @@ struct ScenarioDesc {
   /// code runs, never the expected outcome class. `batch` (`exec batch`)
   /// selects nothing: every fluid run takes the cohort engine. It stays a
   /// mutation, minimizer and novelty axis so the fuzzer's draws, corpus
-  /// text and coverage keys are unchanged, and because the benchmark
-  /// driver (perfbench/driver/) reads it.
+  /// text and coverage keys are unchanged, and because the benchmark's
+  /// workload code (perfbench/driver/) reads it.
   bool aggregate_trace = false;
   bool batch = false;
   /// 0 = the classic single shared link (`link` directive only). k >= 1
