@@ -15,7 +15,8 @@
 // use the same arithmetic expressions as their scalar twins (the build uses
 // baseline x86-64 with no FMA contraction, so shared expressions evaluate
 // identically). tests/fluid_batch_test.cc enforces the contract for every
-// family by comparing cohorts with per-sender instances, and
+// family by comparing kernel cohorts with senders whose protocol hides its
+// kernel and so advances through next_window, and
 // tests/fluid_golden_digest_test.cc pins the resulting bytes.
 #pragma once
 

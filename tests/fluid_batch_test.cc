@@ -5,8 +5,9 @@
 // unsynchronized update periods, and any shard count, a population added as
 // cohorts (one shared prototype, SoA kernels, the uniform loop where it
 // applies) produces a byte-identical Trace to the same population added
-// sender by sender, each a cohort of one with its own protocol instance.
-// tests/fluid_golden_digest_test.cc pins the bytes themselves.
+// sender by sender, each a cohort of one whose protocol hides its batch
+// kernel (tests/scalar_only.h), so every member advances through the scalar
+// next_window. tests/fluid_golden_digest_test.cc pins the bytes themselves.
 #include <cstring>
 #include <memory>
 #include <string>
@@ -19,6 +20,7 @@
 #include "cc/slow_start.h"
 #include "fluid/loss_model.h"
 #include "fluid/sim.h"
+#include "scalar_only.h"
 
 namespace axiomcc {
 namespace {
@@ -29,6 +31,7 @@ using fluid::SenderSpec;
 using fluid::SimOptions;
 using fluid::Trace;
 using fluid::TraceDetail;
+using testing_support::scalar_only;
 
 // All 13 registry families (kernel families first, then the stateful
 // fallbacks that must take the per-sender path inside their cohorts).
@@ -67,7 +70,7 @@ struct RunConfig {
 LinkParams test_link() { return fluid::make_link_mbps(24.0, 40.0, 60.0); }
 
 /// Runs `cfg` with each group added as one cohort (`cohorts`) or sender by
-/// sender.
+/// sender through ScalarOnly.
 Trace run_config(const cc::Protocol& prototype, const RunConfig& cfg,
                  bool cohorts) {
   SimOptions options;
@@ -78,15 +81,20 @@ Trace run_config(const cc::Protocol& prototype, const RunConfig& cfg,
   FluidSimulation sim(test_link(), options);
 
   const auto cohort = [&](long count, double initial, long start, long stop) {
-    const auto spec = [&] {
-      return SenderSpec{prototype.clone(), initial, cfg.update_period,
-                        cfg.update_phase, start, stop};
-    };
     if (cohorts) {
-      if (count > 0) sim.add_senders(spec(), count);
+      if (count > 0) {
+        sim.add_senders(SenderSpec{prototype.clone(), initial,
+                                   cfg.update_period, cfg.update_phase, start,
+                                   stop},
+                        count);
+      }
       return;
     }
-    for (long i = 0; i < count; ++i) sim.add_sender(spec());
+    for (long i = 0; i < count; ++i) {
+      sim.add_sender(SenderSpec{scalar_only(prototype), initial,
+                                cfg.update_period, cfg.update_phase, start,
+                                stop});
+    }
   };
   if (cfg.churn && cfg.n >= 3) {
     const long third = cfg.n / 3;
@@ -253,6 +261,15 @@ TEST(FluidBatch, SlowStartWrapperBatches) {
   expect_layouts_identical(prototype, unsync);
 }
 
+TEST(FluidBatch, ScalarOnlyHidesTheKernel) {
+  const auto aimd = cc::make_protocol("aimd(1,0.5)");
+  ASSERT_NE(aimd->batch_kernel(), nullptr);
+  const auto wrapped = scalar_only(*aimd);
+  EXPECT_EQ(wrapped->batch_kernel(), nullptr);
+  EXPECT_EQ(wrapped->clone()->batch_kernel(), nullptr);
+  EXPECT_EQ(wrapped->name(), aimd->name());
+}
+
 TEST(FluidBatch, SlowStartOverStatefulInnerStaysScalar) {
   const cc::SlowStartWrapper wrapped(cc::make_protocol("cubic(0.4,0.8)"), 64.0);
   EXPECT_EQ(wrapped.batch_kernel(), nullptr);
@@ -273,13 +290,14 @@ TEST(FluidBatch, MixedCohortsKernelAndFallback) {
     FluidSimulation sim(test_link(), options);
     const auto add = [&](const cc::Protocol& proto, long count,
                          double initial, long start, long stop) {
-      const auto spec = [&] {
-        return SenderSpec{proto.clone(), initial, 1, 0, start, stop};
-      };
       if (cohorts) {
-        sim.add_senders(spec(), count);
+        sim.add_senders(SenderSpec{proto.clone(), initial, 1, 0, start, stop},
+                        count);
       } else {
-        for (long i = 0; i < count; ++i) sim.add_sender(spec());
+        for (long i = 0; i < count; ++i) {
+          sim.add_sender(
+              SenderSpec{scalar_only(proto), initial, 1, 0, start, stop});
+        }
       }
     };
     add(*aimd, 20, 2.0, 0, -1);

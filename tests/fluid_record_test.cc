@@ -1,8 +1,9 @@
 // Flight-recorder equivalence tests for the fluid engine's two tick loops.
 // The determinism contract the trace tests pin extends to recordings: the
 // same scenario yields byte-identical JSONL at any --jobs, and the
-// materialized and uniform loops differ only in the kCohort execution-mode
-// metadata the aligner masks by default.
+// materialized and uniform loops, like kernel and per-member next_window
+// dispatch, differ only in the kCohort execution-mode metadata the aligner
+// masks by default.
 #include "fluid/sim.h"
 
 #include <memory>
@@ -17,6 +18,7 @@
 #include "recorder/align.h"
 #include "recorder/io.h"
 #include "recorder/recorder.h"
+#include "scalar_only.h"
 
 namespace axiomcc::fluid {
 namespace {
@@ -29,9 +31,11 @@ using recorder::Recording;
 /// joining late, one leaving early), a mid-run bandwidth drop, and a
 /// buffer small enough that congestion loss actually occurs.
 /// `materialize` installs a pass-through step monitor, which keeps an
-/// aggregate-detail run off the uniform loop.
+/// aggregate-detail run off the uniform loop; `scalar_dispatch` hides
+/// AIMD's batch kernel so every member advances through next_window.
 Recording record_scenario(bool materialize, long jobs, TraceDetail detail,
-                          recorder::RecordOptions ropts) {
+                          recorder::RecordOptions ropts,
+                          bool scalar_dispatch = false) {
   ropts.enabled = true;
   recorder::Recorder sink(ropts);
 
@@ -42,9 +46,12 @@ Recording record_scenario(bool materialize, long jobs, TraceDetail detail,
   options.record_sink = &sink;
   FluidSimulation sim(make_link_mbps(24.0, 40.0, 30.0), options);
 
-  const auto cohort = [](long start, long stop) {
+  const auto cohort = [&](long start, long stop) {
     SenderSpec spec;
     spec.protocol = cc::make_protocol("aimd(1,0.5)");
+    if (scalar_dispatch) {
+      spec.protocol = testing_support::scalar_only(*spec.protocol);
+    }
     spec.initial_window_mss = 2.0;
     spec.start_step = start;
     spec.stop_step = stop;
@@ -114,6 +121,43 @@ TEST(FluidRecord, UniformAndMaterializedRecordIdenticallyModuloCohortMetadata) {
   ASSERT_FALSE(uniform_masked.empty());
   EXPECT_EQ(recording_to_jsonl(uniform_masked),
             recording_to_jsonl(materialized_masked));
+}
+
+TEST(FluidRecord, KernelAndScalarDispatchRecordIdenticallyModuloCohortMetadata) {
+  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
+  // The same cohorts advanced by AIMD's SoA kernel and member by member
+  // through next_window: each cohort stamps kKernel or kFallback...
+  const Recording kernel = record_scenario(false, 1, TraceDetail::kFull, {});
+  const Recording scalar =
+      record_scenario(false, 2, TraceDetail::kFull, {},
+                      /*scalar_dispatch=*/true);
+  const auto cohort_codes = [](const Recording& rec) {
+    std::vector<EventCode> codes;
+    for (const auto& e : rec.events) {
+      if (e.cls == EventClass::kCohort) codes.push_back(e.code);
+    }
+    return codes;
+  };
+  EXPECT_EQ(cohort_codes(kernel),
+            std::vector<EventCode>(3, EventCode::kKernel));
+  EXPECT_EQ(cohort_codes(scalar),
+            std::vector<EventCode>(3, EventCode::kFallback));
+  // ...which the aligner masks, and without which the wire bytes agree.
+  const recorder::AlignResult aligned =
+      recorder::align_recordings(kernel, scalar);
+  EXPECT_FALSE(aligned.diverged) << aligned.reason;
+  EXPECT_EQ(aligned.steps_compared, 96);
+
+  recorder::RecordOptions masked;
+  masked.classes = recorder::kAllClasses & ~class_bit(EventClass::kCohort);
+  const Recording kernel_masked =
+      record_scenario(false, 1, TraceDetail::kFull, masked);
+  const Recording scalar_masked =
+      record_scenario(false, 4, TraceDetail::kFull, masked,
+                      /*scalar_dispatch=*/true);
+  ASSERT_FALSE(kernel_masked.empty());
+  EXPECT_EQ(recording_to_jsonl(kernel_masked),
+            recording_to_jsonl(scalar_masked));
 }
 
 TEST(FluidRecord, AggregateModeKeepsLanesBounded) {

@@ -1,6 +1,6 @@
 // Streaming axiom-scope tests: window mechanics on synthetic feeds, the
-// byte-identity contract across the fluid engine's three tick loops and any
-// job count, per-link channels on routed topologies, kMetric emission
+// byte-identity contract across the fluid engine's two tick loops, kernel
+// vs per-member next_window dispatch and any job count, per-link channels on routed topologies, kMetric emission
 // through the flight recorder, the v2 recording round-trip (provenance
 // SHA), and the aligner's handling of metric windows — including 0-valued
 // windows, which must compare at absolute scale, not divide-by-almost-zero
@@ -26,6 +26,7 @@
 #include "recorder/align.h"
 #include "recorder/io.h"
 #include "recorder/recorder.h"
+#include "scalar_only.h"
 
 namespace axiomcc::scope {
 namespace {
@@ -187,9 +188,11 @@ TEST(MetricScope, CountedObserveMatchesRepeatedObserveBitwise) {
 /// Runs one fluid scenario (three AIMD cohorts, late joiner, early leaver,
 /// mid-run bandwidth drop) and returns the scope series. `materialize`
 /// installs a pass-through step monitor, which keeps an aggregate-detail
-/// run off the uniform loop.
+/// run off the uniform loop; `scalar_dispatch` hides AIMD's batch kernel so
+/// every member advances through next_window.
 ScopeSeries fluid_series(bool materialize, long jobs,
-                         fluid::TraceDetail detail, long window_steps) {
+                         fluid::TraceDetail detail, long window_steps,
+                         bool scalar_dispatch = false) {
   ScopeConfig config;
   config.enabled = true;
   config.window_steps = window_steps;
@@ -202,9 +205,12 @@ ScopeSeries fluid_series(bool materialize, long jobs,
   options.scope_sink = &scope;
   fluid::FluidSimulation sim(fluid::make_link_mbps(24.0, 40.0, 30.0),
                              options);
-  const auto cohort = [](long start, long stop) {
+  const auto cohort = [&](long start, long stop) {
     fluid::SenderSpec spec;
     spec.protocol = cc::make_protocol("aimd(1,0.5)");
+    if (scalar_dispatch) {
+      spec.protocol = testing_support::scalar_only(*spec.protocol);
+    }
     spec.initial_window_mss = 2.0;
     spec.start_step = start;
     spec.stop_step = stop;
@@ -230,6 +236,17 @@ TEST(ScopeDeterminism, FullAndAggregateDetailSeriesAreByteIdentical) {
   const auto aggregate =
       fluid_series(false, 1, fluid::TraceDetail::kAggregate, /*window=*/16);
   EXPECT_EQ(series_bits(full), series_bits(aggregate));
+}
+
+TEST(ScopeDeterminism, KernelAndScalarDispatchSeriesAreByteIdentical) {
+  // The batch kernel's bit-identity contract reaches the scope: cohorts
+  // advanced by AIMD's SoA kernel and the same cohorts advanced member by
+  // member through next_window observe the same bits.
+  const auto kernel =
+      fluid_series(false, 1, fluid::TraceDetail::kFull, /*window=*/16);
+  const auto scalar = fluid_series(false, 1, fluid::TraceDetail::kFull,
+                                   /*window=*/16, /*scalar_dispatch=*/true);
+  EXPECT_EQ(series_bits(kernel), series_bits(scalar));
 }
 
 TEST(ScopeDeterminism, UniformCohortPathIsByteIdentical) {
