@@ -71,6 +71,15 @@ Recording record_scenario(bool materialize, long jobs, TraceDetail detail,
   return sink.snapshot();
 }
 
+/// The kCohort execution-mode codes of `rec`, in order.
+std::vector<EventCode> cohort_codes(const Recording& rec) {
+  std::vector<EventCode> codes;
+  for (const auto& e : rec.events) {
+    if (e.cls == EventClass::kCohort) codes.push_back(e.code);
+  }
+  return codes;
+}
+
 TEST(FluidRecord, BatchRecordingBytesIdenticalAcrossJobs) {
   if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   const Recording serial =
@@ -92,13 +101,6 @@ TEST(FluidRecord, UniformAndMaterializedRecordIdenticallyModuloCohortMetadata) {
       record_scenario(/*materialize=*/false, 1, TraceDetail::kAggregate, {});
   const Recording materialized =
       record_scenario(/*materialize=*/true, 2, TraceDetail::kAggregate, {});
-  const auto cohort_codes = [](const Recording& rec) {
-    std::vector<EventCode> codes;
-    for (const auto& e : rec.events) {
-      if (e.cls == EventClass::kCohort) codes.push_back(e.code);
-    }
-    return codes;
-  };
   EXPECT_EQ(cohort_codes(uniform),
             std::vector<EventCode>(3, EventCode::kUniform));
   EXPECT_EQ(cohort_codes(materialized),
@@ -123,21 +125,15 @@ TEST(FluidRecord, UniformAndMaterializedRecordIdenticallyModuloCohortMetadata) {
             recording_to_jsonl(materialized_masked));
 }
 
-TEST(FluidRecord, KernelAndScalarDispatchRecordIdenticallyModuloCohortMetadata) {
+TEST(FluidRecord, ScalarAndBatchRecordIdenticallyModuloCohortMetadata) {
   if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
-  // The same cohorts advanced by AIMD's SoA kernel and member by member
-  // through next_window: each cohort stamps kKernel or kFallback...
+  // The same cohorts advanced by AIMD's SoA batch kernel and member by
+  // member through scalar next_window: each cohort stamps kKernel or
+  // kFallback...
   const Recording kernel = record_scenario(false, 1, TraceDetail::kFull, {});
   const Recording scalar =
       record_scenario(false, 2, TraceDetail::kFull, {},
                       /*scalar_dispatch=*/true);
-  const auto cohort_codes = [](const Recording& rec) {
-    std::vector<EventCode> codes;
-    for (const auto& e : rec.events) {
-      if (e.cls == EventClass::kCohort) codes.push_back(e.code);
-    }
-    return codes;
-  };
   EXPECT_EQ(cohort_codes(kernel),
             std::vector<EventCode>(3, EventCode::kKernel));
   EXPECT_EQ(cohort_codes(scalar),
@@ -160,19 +156,42 @@ TEST(FluidRecord, KernelAndScalarDispatchRecordIdenticallyModuloCohortMetadata) 
             recording_to_jsonl(scalar_masked));
 }
 
-TEST(FluidRecord, AggregateModeKeepsLanesBounded) {
+TEST(FluidRecord, AggregateModeKeepsLanesBoundedAndAlignsWithScalar) {
   if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   // Aggregate trace detail drives cohort-lane window samples (memory
-  // independent of the population) on either loop.
-  for (const bool materialize : {false, true}) {
-    const Recording rec =
-        record_scenario(materialize, 1, TraceDetail::kAggregate, {});
-    ASSERT_FALSE(rec.empty());
-    for (const auto& e : rec.events) {
+  // independent of the population) on either loop and under scalar
+  // next_window dispatch.
+  const Recording scalar = record_scenario(true, 1, TraceDetail::kAggregate,
+                                           {}, /*scalar_dispatch=*/true);
+  const Recording uniform =
+      record_scenario(false, 4, TraceDetail::kAggregate, {});
+  const Recording materialized =
+      record_scenario(true, 1, TraceDetail::kAggregate, {});
+  for (const Recording* rec : {&scalar, &uniform, &materialized}) {
+    ASSERT_FALSE(rec->empty());
+    for (const auto& e : rec->events) {
       EXPECT_NE(e.subject_kind, recorder::Subject::kSender)
           << "aggregate mode must not materialize per-sender lanes";
     }
   }
+  // The scalar run dispatches every member on the materialized loop, the
+  // kernel run advances one representative per cohort on the uniform loop;
+  // the execution-mode stamps are again the only difference.
+  EXPECT_EQ(cohort_codes(scalar),
+            std::vector<EventCode>(3, EventCode::kFallback));
+  EXPECT_EQ(cohort_codes(uniform),
+            std::vector<EventCode>(3, EventCode::kUniform));
+  const recorder::AlignResult aligned =
+      recorder::align_recordings(scalar, uniform);
+  EXPECT_FALSE(aligned.diverged) << aligned.reason;
+
+  recorder::RecordOptions masked;
+  masked.classes = recorder::kAllClasses & ~class_bit(EventClass::kCohort);
+  EXPECT_EQ(recording_to_jsonl(record_scenario(true, 1,
+                                               TraceDetail::kAggregate, masked,
+                                               /*scalar_dispatch=*/true)),
+            recording_to_jsonl(
+                record_scenario(false, 2, TraceDetail::kAggregate, masked)));
 }
 
 TEST(FluidRecord, ChurnScheduleAndLossTransitionsLandAtTheirSteps) {

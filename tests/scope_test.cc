@@ -238,10 +238,10 @@ TEST(ScopeDeterminism, FullAndAggregateDetailSeriesAreByteIdentical) {
   EXPECT_EQ(series_bits(full), series_bits(aggregate));
 }
 
-TEST(ScopeDeterminism, KernelAndScalarDispatchSeriesAreByteIdentical) {
+TEST(ScopeDeterminism, ScalarAndBatchSeriesAreByteIdentical) {
   // The batch kernel's bit-identity contract reaches the scope: cohorts
-  // advanced by AIMD's SoA kernel and the same cohorts advanced member by
-  // member through next_window observe the same bits.
+  // advanced by AIMD's SoA batch kernel and the same cohorts advanced
+  // member by member through scalar next_window observe the same bits.
   const auto kernel =
       fluid_series(false, 1, fluid::TraceDetail::kFull, /*window=*/16);
   const auto scalar = fluid_series(false, 1, fluid::TraceDetail::kFull,
