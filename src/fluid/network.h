@@ -17,17 +17,19 @@
 //   * every flow picks its next window via its Protocol.
 //
 // Flows are added in cohorts: `count` flows sharing one spec and ONE
-// protocol prototype (add_flow adds a cohort of one). Each step runs one of
-// two tick loops, bit-identical to each other:
-//  - the materialized loop keeps per-flow arrays; kernel cohorts advance
+// protocol prototype (add_flow adds a cohort of one). One tick loop runs
+// over slots; each cohort owns a contiguous slot range and each slot stands
+// for `weight` flows. run() picks one of two slot layouts, bit-identical to
+// each other:
+//  - materialized: one slot per flow (weight 1). Kernel cohorts advance
 //    through SoA kernels (cc::BatchProtocol) in one pass per cohort, other
-//    cohorts dispatch per member. Per-flow elementwise loops are sharded
-//    across util/task_pool in fixed-size chunks (`jobs`);
-//  - the uniform loop serves runs with an aggregate trace, no step monitor
-//    and a stateless loss injector. Every member of a cohort then sees the
-//    same inputs every step and stays bitwise identical, so one
-//    representative advances per cohort; only the per-link arrival fold
-//    stays O(flows).
+//    cohorts dispatch per flow. Elementwise passes are sharded across
+//    util/task_pool in fixed-size chunks (`jobs`);
+//  - representative: one slot per cohort (weight = count), for runs with an
+//    aggregate trace, no step monitor and a stateless loss injector. Every
+//    member of a cohort then sees the same inputs every step and stays
+//    bitwise identical, so one slot advances for the cohort; only the folds
+//    stay O(flows), adding each slot's value `weight` times.
 // Determinism: the arrival folds, the total-window fold and stateful loss
 // sampling stay serial in ascending flow order, and sharded loops are pure
 // elementwise writes over fixed ranges, so any jobs count yields the same
@@ -89,7 +91,7 @@ struct SimOptions {
   /// trace memory is independent of the population size.
   TraceDetail trace_detail = TraceDetail::kFull;
   int tracked_senders = 8;       ///< k for kAggregate (clamped to n).
-  /// Shard count for the materialized loop's elementwise passes: >0
+  /// Shard count for the materialized layout's elementwise passes: >0
   /// explicit, 0 = resolve_jobs (AXIOMCC_JOBS / hardware). Traces are
   /// identical at any value; this is purely a throughput knob.
   long jobs = 1;
@@ -135,8 +137,8 @@ class FluidNetwork {
   /// Adds a cohort of `count` flows sharing one spec; returns the first
   /// flow's id (the cohort's ids are consecutive). The cohort keeps ONE
   /// prototype whatever the count — kernel cohorts run without per-flow
-  /// clones, and the uniform loop advances one representative — so a
-  /// million-flow population costs O(1) protocol allocations.
+  /// clones, and the representative layout advances one slot per cohort —
+  /// so a million-flow population costs O(1) protocol allocations.
   int add_flows(FlowSpec spec, long count);
 
   /// Injected (non-congestion) loss, composed into every active flow's
@@ -183,8 +185,9 @@ class FluidNetwork {
   };
   struct RunContext;
 
-  void run_materialized(RunContext& ctx);
-  void run_uniform(RunContext& ctx);
+  /// The tick loop over slots: one per flow, or one per cohort when
+  /// `representative`.
+  void tick_loop(RunContext& ctx, bool representative);
 
   Options options_;
   std::vector<FluidLink> links_;

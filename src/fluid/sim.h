@@ -6,7 +6,7 @@
 // non-congestion loss) and picks its next window via its Protocol.
 //
 // FluidSimulation is a builder: it configures the one-link fluid::FluidNetwork
-// (network.h) and routes every sender over link 0, so the tick loops, the
+// (network.h) and routes every sender over link 0, so the tick loop, the
 // cohort execution, the hooks (loss injector, schedules, step monitor) and
 // the recorder/scope emission are the network's. A sender is a flow; sender
 // ids are flow ids.

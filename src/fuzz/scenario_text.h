@@ -129,8 +129,8 @@ struct ScenarioDesc {
   double tail_fraction = 0.5;
   std::uint64_t seed = 42;
   /// Execution axes: an aggregate trace (per-step population statistics
-  /// plus tracked series), which moves fluid runs onto the uniform-cohort
-  /// loop and is byte-identity-preserving by contract, so it changes which
+  /// plus tracked series), which moves fluid runs onto the representative
+  /// slot layout and is byte-identity-preserving by contract, so it changes which
   /// code runs, never the expected outcome class. `batch` (`exec batch`)
   /// selects nothing: every fluid run takes the cohort engine. It stays a
   /// mutation, minimizer and novelty axis so the fuzzer's draws, corpus

@@ -162,9 +162,9 @@ void MetricScope::observe_class(int class_id, double window_mss,
     a.max = std::max(a.max, window_mss);
   }
   a.loss_max = std::max(a.loss_max, observed_loss);
-  // Repeated serial adds, NOT count·x: the uniform-cohort path calls this
-  // once per cohort and must fold bitwise like the materialized path's one
-  // call per member.
+  // Repeated serial adds, NOT count·x: the fluid representative layout
+  // calls this once per cohort and must fold bitwise like the materialized
+  // layout's one call per member.
   for (long k = 0; k < count; ++k) {
     a.sum += window_mss;
     a.sum_sq += window_mss * window_mss;

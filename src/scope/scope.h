@@ -20,7 +20,7 @@
 //            loss-avoidance, latency-avoidance.
 //
 // Memory is O(classes + links + windows) — independent of the sender count,
-// so the million-sender uniform-cohort loop keeps its footprint. The one exception is
+// so a million-sender fluid run keeps its footprint. The one exception is
 // fast-utilization, which retains the per-step aggregate-window series (the
 // same footprint the aggregate trace already pays) because the paper's
 // coefficient samples start offsets that are only known once the horizon or
@@ -138,8 +138,9 @@ struct ScopeSeries {
 ///   scope.finish();
 ///
 /// `observe_class` folds with repeated serial adds when `count > 1`, so the
-/// uniform-cohort fluid path (one call per cohort) is bitwise identical to
-/// the materialized path (one call per member with identical windows).
+/// fluid engine's representative layout (one call per cohort) is bitwise
+/// identical to its materialized layout (one call per member with identical
+/// windows).
 class MetricScope {
  public:
   explicit MetricScope(ScopeConfig config);

@@ -3,7 +3,7 @@
 // The contract under test (src/cc/batch.h, src/fluid/network.h): for every
 // protocol family, at any population size, across churn, injected loss,
 // unsynchronized update periods, and any shard count, a population added as
-// cohorts (one shared prototype, SoA kernels, the uniform loop where it
+// cohorts (one shared prototype, SoA kernels, one slot per cohort where it
 // applies) produces a byte-identical Trace to the same population added
 // sender by sender, each a cohort of one whose protocol hides its batch
 // kernel (tests/scalar_only.h), so every member advances through the scalar
@@ -59,6 +59,7 @@ struct RunConfig {
   long steps = 120;
   bool churn = false;          ///< splits the population into join/leave cohorts
   bool injected_loss = false;  ///< Bernoulli episodes (stateful injector)
+  bool constant_loss = false;  ///< ConstantLoss(0.01) (stateless injector)
   long update_period = 1;
   long update_phase = 0;
   long jobs = 1;
@@ -107,6 +108,9 @@ Trace run_config(const cc::Protocol& prototype, const RunConfig& cfg,
   if (cfg.injected_loss) {
     sim.set_loss_injector(
         std::make_unique<fluid::BernoulliLoss>(0.1, 0.05, 1234));
+  }
+  if (cfg.constant_loss) {
+    sim.set_loss_injector(std::make_unique<fluid::ConstantLoss>(0.01));
   }
   return sim.run();
 }
@@ -236,6 +240,17 @@ TEST_P(EveryFamily, AggregateMatchesScalarAggregate) {
   cfg.detail = TraceDetail::kAggregate;
   cfg.tracked = 5;
   expect_layouts_identical(*prototype, cfg);
+
+  // The representative layout's pending aggregation between updates, and
+  // its per-cohort observation of a stateless injector.
+  RunConfig unsync = cfg;
+  unsync.update_period = 3;
+  unsync.update_phase = 1;
+  expect_layouts_identical(*prototype, unsync);
+
+  RunConfig lossy = cfg;
+  lossy.constant_loss = true;
+  expect_layouts_identical(*prototype, lossy);
 }
 
 TEST(FluidBatch, SlowStartWrapperBatches) {
