@@ -15,12 +15,6 @@ BenchTelemetry::BenchTelemetry(const ArgParser& args, std::string bench_name)
     : bench_name_(std::move(bench_name)) {
   const auto dir = args.telemetry_dir();
   if (!dir) return;
-  if (!telemetry::compiled_in()) {
-    std::fprintf(stderr,
-                 "[telemetry] requested but compiled out "
-                 "(AXIOMCC_TELEMETRY=OFF build) — ignoring\n");
-    return;
-  }
   dir_ = *dir;
   active_ = true;
   telemetry::Registry::global().reset_values();

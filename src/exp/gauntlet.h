@@ -54,7 +54,7 @@ struct GauntletConfig {
   /// Flight-recorder capture per cell. When `record.enabled`, every cell
   /// runs with a recorder attached, and a faulting cell dumps a
   /// post-mortem (`postmortem-<protocol>-<scenario>-s<seed>.jsonl`) into
-  /// `record_dir` (when non-empty). No-op with AXIOMCC_RECORDER=OFF.
+  /// `record_dir` (when non-empty).
   recorder::RecordOptions record;
   std::string record_dir;
 };

@@ -18,7 +18,7 @@ struct Provenance {
   std::string git_sha = "unknown";
 
   /// Build flavor string composed at compile time from the CMake
-  /// configuration: the build type plus any "+asan" / "+tsan" / "+notelem"
+  /// configuration: the build type plus any "+asan" / "+tsan"
   /// suffixes (e.g. "Release", "Debug+asan"). "unknown" when the build
   /// system did not define AXIOMCC_BUILD_FLAVOR.
   std::string build_flavor = "unknown";

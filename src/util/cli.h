@@ -78,9 +78,7 @@ class ArgParser {
   /// separated lists work). Without the flag, the AXIOMCC_RECORD
   /// environment variable is consulted ("" and "0" mean off, "1" means
   /// `artifacts_dir()`, anything else is parsed the same way). nullopt
-  /// means recording stays off. In builds with AXIOMCC_RECORDER=OFF the
-  /// flag parses but runs record nothing (the capture path is compiled
-  /// out).
+  /// means recording stays off.
   [[nodiscard]] std::optional<RecordSpec> record_spec() const;
 
   /// The directory of record_spec(), for callers that ignore class filters.

@@ -258,7 +258,6 @@ TEST(FluidNetwork, AggregateTraceKeepsStatsAndTrackedSeries) {
 }
 
 TEST(FluidNetwork, RecorderCapturesNetworkRuns) {
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   recorder::RecordOptions ropts;
   ropts.enabled = true;
   recorder::Recorder sink(ropts);
@@ -294,7 +293,6 @@ TEST(FluidNetwork, RecorderReportsNoInjectedLossWithoutAnInjector) {
   // A long flow's composed congestion loss exceeds every single link's
   // rate, so comparing its observed loss with the step's max-link rate
   // would flag injected loss where no injector is installed.
-  if (!recorder::compiled_in()) GTEST_SKIP() << "recorder compiled out";
   recorder::RecordOptions ropts;
   ropts.enabled = true;
   recorder::Recorder sink(ropts);

@@ -7,8 +7,7 @@
 //   * the trace (every series the Trace holds, as raw double bits);
 //   * the per-flow tail reports plus the bottleneck utilization;
 //   * the streaming scope's series (when a scope is attached);
-//   * the flight recorder's JSONL timeline (when a recorder is attached and
-//     the capture path is compiled in);
+//   * the flight recorder's JSONL timeline (when a recorder is attached);
 // and, for scenarios built straight on the simulator, the number of events
 // the simulator processed. Backend runs do not expose their simulator; their
 // trace bytes pin the event sequence instead.
@@ -523,10 +522,7 @@ TEST_P(GoldenPacketDigest, MatchesPinnedBytes) {
   EXPECT_EQ(actual.reports, want.reports) << row(name, actual);
   EXPECT_EQ(actual.scope, want.scope) << row(name, actual);
   EXPECT_EQ(actual.events, want.events) << row(name, actual);
-  // Builds without the capture path record nothing.
-  if (recorder::compiled_in()) {
-    EXPECT_EQ(actual.recorder, want.recorder) << row(name, actual);
-  }
+  EXPECT_EQ(actual.recorder, want.recorder) << row(name, actual);
 }
 
 INSTANTIATE_TEST_SUITE_P(
