@@ -12,12 +12,19 @@
 // the simulator processed. Backend runs do not expose their simulator; their
 // trace bytes pin the event sequence instead.
 //
+// The crosscheck cells pin a reduced core::evaluate_protocol on the packet
+// backend as the raw bits of all eight scores. They reach what the scenario
+// rows do not: the fast-utilization run on a near-infinite link, the
+// robustness probes through the injected-loss forward filter, and the mixed
+// run against Reno.
+//
 // A pinned value may change only with an intended behaviour change; the
 // commit that moves it says which scenarios moved and why. On a mismatch
 // the failure message prints the full replacement row.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -27,7 +34,11 @@
 #include <string>
 #include <vector>
 
+#include "cc/mimd.h"
 #include "cc/presets.h"
+#include "cc/robust_aimd.h"
+#include "core/evaluator.h"
+#include "core/metric_point.h"
 #include "engine/backend.h"
 #include "engine/topology.h"
 #include "fluid/link.h"
@@ -529,6 +540,87 @@ INSTANTIATE_TEST_SUITE_P(
     Scenarios, GoldenPacketDigest, ::testing::ValuesIn(scenario_names()),
     [](const ::testing::TestParamInfo<std::string>& param) {
       return param.param;
+    });
+
+// --- Crosscheck cells ----------------------------------------------------------
+
+/// The eight scores of one evaluation, as raw double bits.
+using ScoreBits = std::array<std::uint64_t, core::kNumMetrics>;
+
+/// A reduced packet-backend evaluation: short horizons, so each cell runs in
+/// well under a second. The robustness search starts at 4% loss with 400-step
+/// probes, so Robust-AIMD (ε = 1%) escapes some of its six probes and scores
+/// above zero.
+core::EvalConfig crosscheck_config() {
+  core::EvalConfig cfg;
+  cfg.backend = engine::BackendKind::kPacket;
+  cfg.link = fluid::make_link_mbps(20.0, 42.0, 60.0);
+  cfg.steps = 300;
+  cfg.fast_utilization_steps = 120;
+  cfg.robustness_steps = 400;
+  cfg.packet.robustness_steps = 400;
+  cfg.robustness_search_iterations = 6;
+  cfg.robustness_max_rate = 0.04;
+  return cfg;
+}
+
+ScoreBits crosscheck_bits(const cc::Protocol& protocol) {
+  const core::MetricReport report =
+      core::evaluate_protocol(protocol, crosscheck_config());
+  ScoreBits bits{};
+  for (std::size_t i = 0; i < core::kNumMetrics; ++i) {
+    bits[i] = std::bit_cast<std::uint64_t>(
+        report.get(static_cast<core::Metric>(i)));
+  }
+  return bits;
+}
+
+std::string crosscheck_row(const std::string& name, const ScoreBits& bits) {
+  std::string out = "{\"" + name + "\", {";
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%s0x%016llxULL", i == 0 ? "" : ", ",
+                  static_cast<unsigned long long>(bits[i]));
+    out += buf;
+  }
+  return out + "}},";
+}
+
+struct CrosscheckCell {
+  std::string name;
+  std::unique_ptr<cc::Protocol> (*make)();
+  ScoreBits want;
+};
+
+// clang-format off
+const std::vector<CrosscheckCell>& crosscheck_cells() {
+  static const std::vector<CrosscheckCell> cells = {
+      {"mimd", [] { return std::unique_ptr<cc::Protocol>(std::make_unique<cc::Mimd>(1.01, 0.875)); },
+       {0x3ff0000000000000ULL, 0x3f90e792c2c407a3ULL, 0x3fa8000000000000ULL, 0x3fb03fbefdd1a533ULL, 0x3fe3c38f0f15956cULL, 0x0000000000000000ULL, 0x402dfbb81585aa4eULL, 0x3feb62e8b427db80ULL}},
+      {"robust_aimd", [] { return std::unique_ptr<cc::Protocol>(std::make_unique<cc::RobustAimd>(1.0, 0.8, 0.01)); },
+       {0x3ff0000000000000ULL, 0x3fefb79a2030f46eULL, 0x3fa50a8542a150a8ULL, 0x3fede15268b59c1dULL, 0x3feb92d57dadc3daULL, 0x3f547ae147ae147bULL, 0x3fd99d6fa4134756ULL, 0x3feb6db6d2bdbc2aULL}},
+  };
+  return cells;
+}
+// clang-format on
+
+class GoldenPacketCrosscheck : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenPacketCrosscheck, MatchesPinnedScores) {
+  const CrosscheckCell& cell = crosscheck_cells()[GetParam()];
+  const ScoreBits actual = crosscheck_bits(*cell.make());
+  for (std::size_t i = 0; i < core::kNumMetrics; ++i) {
+    EXPECT_EQ(actual[i], cell.want[i])
+        << core::metric_name(static_cast<core::Metric>(i)) << "\n"
+        << crosscheck_row(cell.name, actual);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, GoldenPacketCrosscheck,
+    ::testing::Range<std::size_t>(0, crosscheck_cells().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& param) {
+      return crosscheck_cells()[param.param].name;
     });
 
 }  // namespace
