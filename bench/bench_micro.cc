@@ -75,8 +75,15 @@ void BM_FluidSimulationSteps(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidSimulationSteps)->Arg(1000)->Arg(10000);
 
+/// Seconds per event over the whole run, printed as e.g. "45n" (ns/event).
+benchmark::Counter per_event(double events) {
+  return benchmark::Counter(events, benchmark::Counter::kIsRate |
+                                        benchmark::Counter::kInvert);
+}
+
 void BM_EventKernelChurn(benchmark::State& state) {
-  // Schedule/execute a self-rescheduling chain: the kernel's hot loop.
+  // Schedule/execute a self-rescheduling closure chain: the kernel's control
+  // path (pooled closure slots).
   const int chain = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
@@ -89,8 +96,44 @@ void BM_EventKernelChurn(benchmark::State& state) {
     benchmark::DoNotOptimize(sim.events_processed());
   }
   state.SetItemsProcessed(state.iterations() * chain);
+  state.counters["time/event"] =
+      per_event(static_cast<double>(state.iterations() * chain));
 }
 BENCHMARK(BM_EventKernelChurn)->Arg(10000);
+
+/// Reschedules every event it receives until `remaining` runs out.
+class ChainTarget final : public sim::EventTarget {
+ public:
+  ChainTarget(sim::Simulator& simulator, int remaining)
+      : simulator_(simulator), remaining_(remaining) {}
+  void on_event(sim::EventKind kind, const sim::Packet& packet) override {
+    if (--remaining_ > 0) {
+      simulator_.schedule_in(SimTime(1000), kind, this, packet);
+    }
+  }
+
+ private:
+  sim::Simulator& simulator_;
+  int remaining_;
+};
+
+void BM_EventKernelTypedChain(benchmark::State& state) {
+  // The same chain as typed events with an inline packet: the kernel's
+  // per-packet path.
+  const int chain = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    ChainTarget target(sim, chain);
+    sim.schedule_in(SimTime(1000), sim::EventKind::kDelivered, &target,
+                    sim::Packet{});
+    sim.run();
+    benchmark::DoNotOptimize(sim.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * chain);
+  state.counters["time/event"] =
+      per_event(static_cast<double>(state.iterations() * chain));
+}
+BENCHMARK(BM_EventKernelTypedChain)->Arg(10000);
 
 void BM_PacketSimulation(benchmark::State& state) {
   const double seconds = static_cast<double>(state.range(0));

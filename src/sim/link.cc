@@ -39,18 +39,22 @@ void SimLink::begin_transmission() {
     return;
   }
   transmitting_ = true;
-  const Packet packet = *next;
-  const SimTime tx_done = serialization_time(packet.size_bytes);
-
   // Last bit leaves at tx_done; the packet arrives a propagation delay later.
-  simulator_.schedule_in(tx_done, [this, packet] {
-    simulator_.schedule_in(propagation_delay_, [this, packet] {
-      ++delivered_;
-      bytes_delivered_ += static_cast<std::size_t>(packet.size_bytes);
-      deliver_(packet);
-    });
+  simulator_.schedule_in(serialization_time(next->size_bytes),
+                         EventKind::kTransmitted, this, *next);
+}
+
+void SimLink::on_event(EventKind kind, const Packet& packet) {
+  if (kind == EventKind::kTransmitted) {
+    simulator_.schedule_in(propagation_delay_, EventKind::kDelivered, this,
+                           packet);
     begin_transmission();  // start the next packet, if any
-  });
+    return;
+  }
+  AXIOMCC_EXPECTS(kind == EventKind::kDelivered);
+  ++delivered_;
+  bytes_delivered_ += static_cast<std::size_t>(packet.size_bytes);
+  deliver_(packet);
 }
 
 }  // namespace axiomcc::sim

@@ -3,7 +3,9 @@
 //
 // Packets admitted by the queue are transmitted one at a time at `rate_bps`
 // and delivered `propagation_delay` after their last bit leaves. This is the
-// store-and-forward output-port model ns-3's point-to-point links use.
+// store-and-forward output-port model ns-3's point-to-point links use. Both
+// steps are typed simulator events (kTransmitted, kDelivered) that carry the
+// packet, so a packet's trip across the link allocates nothing.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +22,7 @@ namespace axiomcc::sim {
 /// Downstream delivery callback.
 using DeliverFn = std::function<void(const Packet&)>;
 
-class SimLink {
+class SimLink final : public EventTarget {
  public:
   SimLink(Simulator& simulator, double rate_bps, SimTime propagation_delay,
           std::unique_ptr<QueueDiscipline> queue, DeliverFn deliver);
@@ -59,6 +61,9 @@ class SimLink {
 
  private:
   void begin_transmission();
+  /// kTransmitted: schedule the delivery, start the next packet.
+  /// kDelivered: hand the packet downstream.
+  void on_event(EventKind kind, const Packet& packet) override;
 
   Simulator& simulator_;
   double rate_bps_;

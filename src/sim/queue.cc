@@ -1,10 +1,30 @@
 #include "sim/queue.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.h"
 
 namespace axiomcc::sim {
+
+// --- PacketRing --------------------------------------------------------------
+
+Packet PacketRing::pop_front() {
+  AXIOMCC_EXPECTS(size_ > 0);
+  const Packet p = slots_[head_];
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --size_;
+  return p;
+}
+
+void PacketRing::grow() {
+  std::vector<Packet> grown(slots_.empty() ? 8 : 2 * slots_.size());
+  for (std::size_t i = 0; i < size_; ++i) {
+    grown[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+  slots_ = std::move(grown);
+  head_ = 0;
+}
 
 // --- DropTail ----------------------------------------------------------------
 
@@ -25,8 +45,7 @@ bool DropTailQueue::enqueue(const Packet& p) {
 
 std::optional<Packet> DropTailQueue::dequeue() {
   if (queue_.empty()) return std::nullopt;
-  Packet p = queue_.front();
-  queue_.pop_front();
+  const Packet p = queue_.pop_front();
   bytes_ -= static_cast<std::size_t>(p.size_bytes);
   return p;
 }
@@ -75,8 +94,7 @@ bool REDQueue::enqueue(const Packet& p) {
 
 std::optional<Packet> REDQueue::dequeue() {
   if (queue_.empty()) return std::nullopt;
-  Packet p = queue_.front();
-  queue_.pop_front();
+  const Packet p = queue_.pop_front();
   bytes_ -= static_cast<std::size_t>(p.size_bytes);
   return p;
 }

@@ -9,6 +9,7 @@
 
 #include "cc/presets.h"
 #include "sim/loss.h"
+#include "telemetry/telemetry.h"
 #include "util/check.h"
 
 namespace axiomcc::sim {
@@ -205,6 +206,66 @@ TEST(MultiHopNetwork, LinksQueueThroughTheirDiscipline) {
   // the RTT stays under 40 ms + 50 packets × 1.2 ms.
   EXPECT_GT(queue->drops(), 0u);
   EXPECT_LT(net.flow_reports()[0].avg_rtt_ms, 40.0 + 50 * 1.2);
+}
+
+TEST(MultiHopNetwork, EventsByKindAccountForEveryEvent) {
+  MultiHopNetwork net(quick_config());
+  const int l0 = net.add_link(10.0, 10.0, 25);
+  const int l1 = net.add_link(8.0, 5.0, 20);
+  net.add_flow(cc::presets::reno(), {l0, l1});
+  net.add_flow(cc::presets::cubic_linux(), {l1}, 1.0);
+  net.run();
+
+  const Simulator& sim = net.simulator();
+  std::size_t sum = 0;
+  for (std::size_t k = 0; k < kNumEventKinds; ++k) {
+    sum += sim.events_of_kind(static_cast<EventKind>(k));
+  }
+  EXPECT_EQ(sum, sim.events_processed());
+
+  std::size_t delivered = 0;
+  for (int l = 0; l < net.num_links(); ++l) {
+    delivered += net.link(l).packets_delivered();
+  }
+  EXPECT_GT(delivered, 1000u);
+  EXPECT_EQ(sim.events_of_kind(EventKind::kDelivered), delivered);
+  // Every delivery was a transmission first; the ones missing are still
+  // propagating at the horizon.
+  EXPECT_GE(sim.events_of_kind(EventKind::kTransmitted), delivered);
+  EXPECT_GT(sim.events_of_kind(EventKind::kAckReturned), 0u);
+  EXPECT_GT(sim.events_of_kind(EventKind::kClosure), 0u);
+}
+
+TEST(MultiHopNetwork, RunPublishesEventsByKindToTelemetry) {
+  using telemetry::Registry;
+  using telemetry::Stability;
+  const auto counter = [](const char* name) {
+    return Registry::global().counter(name, Stability::kDeterministic).value();
+  };
+  Registry::global().reset_values();
+  telemetry::set_enabled(true);
+  MultiHopNetwork net(quick_config());
+  const int l = net.add_link(10.0, 20.0, 10);
+  net.add_flow(cc::presets::reno(), {l});
+  net.run();
+  telemetry::set_enabled(false);
+
+  const Simulator& sim = net.simulator();
+  const auto events = [&sim](EventKind kind) {
+    return static_cast<std::int64_t>(sim.events_of_kind(kind));
+  };
+  EXPECT_EQ(counter("sim.events.transmitted"),
+            events(EventKind::kTransmitted));
+  EXPECT_EQ(counter("sim.events.delivered"), events(EventKind::kDelivered));
+  EXPECT_EQ(counter("sim.events.ack_returned"),
+            events(EventKind::kAckReturned));
+  EXPECT_EQ(counter("sim.events.closure"), events(EventKind::kClosure));
+  EXPECT_EQ(counter("sim.link.enqueues"),
+            static_cast<std::int64_t>(net.link(l).packets_accepted()));
+  EXPECT_EQ(counter("sim.link.drops"),
+            static_cast<std::int64_t>(net.link(l).packets_dropped()));
+  EXPECT_GT(counter("sim.link.drops"), 0);
+  Registry::global().reset_values();
 }
 
 TEST(MultiHopNetwork, ContractChecks) {

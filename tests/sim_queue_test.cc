@@ -1,5 +1,5 @@
 // Unit tests for the queue disciplines: droptail semantics exactly, RED
-// statistically.
+// statistically, and the packet ring both store their packets in.
 #include "sim/queue.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,77 @@ Packet data(std::uint64_t seq, int bytes = 1500) {
   p.seq = seq;
   p.size_bytes = bytes;
   return p;
+}
+
+TEST(PacketRing, StartsEmptyAndUnallocated) {
+  PacketRing ring;
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.capacity(), 0u);
+  EXPECT_THROW((void)ring.pop_front(), ContractViolation);
+}
+
+TEST(PacketRing, WrapsAroundWithoutGrowing) {
+  PacketRing ring;
+  for (std::uint64_t i = 0; i < 6; ++i) ring.push_back(data(i));
+  const std::size_t capacity = ring.capacity();
+  ASSERT_GE(capacity, 6u);
+  // Cycle far past the end of the slots while never holding more than six.
+  std::uint64_t next_out = 0;
+  for (std::uint64_t i = 6; i < 10 * capacity; ++i) {
+    EXPECT_EQ(ring.pop_front().seq, next_out++);
+    ring.push_back(data(i));
+  }
+  EXPECT_EQ(ring.capacity(), capacity);
+  EXPECT_EQ(ring.size(), 6u);
+  while (!ring.empty()) EXPECT_EQ(ring.pop_front().seq, next_out++);
+}
+
+TEST(PacketRing, GrowsWhileWrappedKeepingFifoOrder) {
+  PacketRing ring;
+  for (std::uint64_t i = 0; i < 5; ++i) ring.push_back(data(i));
+  const std::size_t capacity = ring.capacity();
+  // Move the head forward so the live packets straddle the end of the slots.
+  for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(ring.pop_front().seq, i);
+  std::uint64_t next_in = 5;
+  while (ring.size() < capacity) ring.push_back(data(next_in++));
+  // Full and wrapped: the next push doubles the ring.
+  ring.push_back(data(next_in++));
+  EXPECT_EQ(ring.capacity(), 2 * capacity);
+  for (std::uint64_t want = 3; want < next_in; ++want) {
+    EXPECT_EQ(ring.pop_front().seq, want);
+  }
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 2 * capacity);  // never shrinks
+}
+
+TEST(DropTailQueue, CyclesInFifoOrderWithByteAccounting) {
+  DropTailQueue q(1000);
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  std::size_t bytes = 0;
+  // Alternate bursts of growth and draining, so the ring grows while its
+  // contents are wrapped; sizes vary so byte accounting is exercised.
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 7 + round; ++i) {
+      const int size = 40 + static_cast<int>(next_in % 7) * 100;
+      ASSERT_TRUE(q.enqueue(data(next_in++, size)));
+      bytes += static_cast<std::size_t>(size);
+    }
+    for (int i = 0; i < 5; ++i) {
+      const auto p = q.dequeue();
+      ASSERT_TRUE(p.has_value());
+      EXPECT_EQ(p->seq, next_out++);
+      bytes -= static_cast<std::size_t>(p->size_bytes);
+    }
+    EXPECT_EQ(q.size_bytes(), bytes);
+    EXPECT_EQ(q.size_packets(), next_in - next_out);
+  }
+  while (const auto p = q.dequeue()) {
+    EXPECT_EQ(p->seq, next_out++);
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_EQ(q.size_bytes(), 0u);
 }
 
 TEST(DropTailQueue, FifoOrder) {
@@ -127,6 +198,24 @@ TEST(REDQueue, ParameterContracts) {
   REDQueue::Params r = red_params();
   r.queue_weight = 0.0;
   EXPECT_THROW(REDQueue{r}, ContractViolation);
+}
+
+TEST(REDQueue, KeepsFifoOrderAndBytesAcrossWraparound) {
+  REDQueue::Params p = red_params();
+  p.min_threshold = 1000.0;  // no early drops: pure FIFO behaviour
+  p.max_threshold = 2000.0;
+  p.capacity_packets = 2000;
+  REDQueue q(p);
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.enqueue(data(next_in++, 100)));
+    for (int i = 0; i < 2; ++i) EXPECT_EQ(q.dequeue()->seq, next_out++);
+  }
+  EXPECT_EQ(q.size_packets(), 50u);
+  EXPECT_EQ(q.size_bytes(), 5000u);
+  while (const auto out = q.dequeue()) EXPECT_EQ(out->seq, next_out++);
+  EXPECT_EQ(q.size_bytes(), 0u);
 }
 
 }  // namespace
