@@ -2,6 +2,7 @@
 // behaviour under backlog, and drop accounting.
 #include "sim/link.h"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -100,6 +101,36 @@ TEST(SimLink, IdleLinkRestartsCleanly) {
   sim.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[1].at, SimTime::from_millis(101));
+}
+
+TEST(SimLink, ShrunkDelayLetsLaterPacketsOvertakeInTimeThenSequenceOrder) {
+  Simulator sim;
+  std::vector<Arrival> arrivals;
+  // 1 ms per packet; packet 0 leaves at 1 ms under a 5 ms delay (due 6 ms).
+  SimLink link(sim, 12e6, SimTime::from_millis(5),
+               std::make_unique<DropTailQueue>(10),
+               [&](const Packet& p) { arrivals.push_back({p.seq, sim.now()}); });
+  for (std::uint64_t i = 0; i < 5; ++i) link.send(data(i));
+  // Packets 1 and 2 leave at 2 and 3 ms under a 1 ms delay and overtake 0.
+  sim.schedule_at(SimTime::from_micros(1500),
+                  [&] { link.set_propagation_delay(SimTime::from_millis(1)); });
+  // Packet 3 leaves at 4 ms under a 2 ms delay: due 6 ms, tied with packet
+  // 0, which was scheduled first and so arrives first. Packet 4 leaves at
+  // 5 ms and is due at 7 ms.
+  sim.schedule_at(SimTime::from_micros(3500),
+                  [&] { link.set_propagation_delay(SimTime::from_millis(2)); });
+  sim.run();
+
+  const std::vector<std::pair<std::uint64_t, SimTime>> want{
+      {1, SimTime::from_millis(3)}, {2, SimTime::from_millis(4)},
+      {0, SimTime::from_millis(6)}, {3, SimTime::from_millis(6)},
+      {4, SimTime::from_millis(7)}};
+  ASSERT_EQ(arrivals.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(arrivals[i].seq, want[i].first) << "arrival " << i;
+    EXPECT_EQ(arrivals[i].at, want[i].second) << "arrival " << i;
+  }
+  EXPECT_EQ(link.packets_delivered(), 5u);
 }
 
 TEST(SimLink, ConstructorContracts) {
