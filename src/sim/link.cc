@@ -13,7 +13,8 @@ SimLink::SimLink(Simulator& simulator, double rate_bps,
       rate_bps_(rate_bps),
       propagation_delay_(propagation_delay),
       queue_(std::move(queue)),
-      deliver_(std::move(deliver)) {
+      deliver_(std::move(deliver)),
+      delivery_lane_(simulator.add_lane(EventKind::kDelivered, this)) {
   AXIOMCC_EXPECTS_MSG(rate_bps > 0.0, "link rate must be positive");
   AXIOMCC_EXPECTS(propagation_delay.ns() >= 0);
   AXIOMCC_EXPECTS(queue_ != nullptr);
@@ -46,8 +47,7 @@ void SimLink::begin_transmission() {
 
 void SimLink::on_event(EventKind kind, const Packet& packet) {
   if (kind == EventKind::kTransmitted) {
-    simulator_.schedule_in(propagation_delay_, EventKind::kDelivered, this,
-                           packet);
+    simulator_.schedule_in(propagation_delay_, delivery_lane_, packet);
     begin_transmission();  // start the next packet, if any
     return;
   }

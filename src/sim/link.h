@@ -5,7 +5,8 @@
 // and delivered `propagation_delay` after their last bit leaves. This is the
 // store-and-forward output-port model ns-3's point-to-point links use. Both
 // steps are typed simulator events (kTransmitted, kDelivered) that carry the
-// packet, so a packet's trip across the link allocates nothing.
+// packet, so a packet's trip across the link allocates nothing. Deliveries go
+// through one delay lane per link: they are due in the order they leave.
 #pragma once
 
 #include <cstddef>
@@ -70,6 +71,7 @@ class SimLink final : public EventTarget {
   SimTime propagation_delay_;
   std::unique_ptr<QueueDiscipline> queue_;
   DeliverFn deliver_;
+  LaneId delivery_lane_;
 
   bool transmitting_ = false;
   std::size_t accepted_ = 0;
