@@ -108,8 +108,10 @@ class MultiHopNetwork {
 
   /// Runs for the configured duration, sampling the trace once per smallest
   /// route round-trip. Call once. With telemetry enabled, the run adds its
-  /// executed events by kind to the `sim.events.<kind>` counters and its
-  /// link enqueues and drops to `sim.link.enqueues` / `sim.link.drops`.
+  /// executed events by kind to the `sim.events.<kind>` counters, its link
+  /// enqueues and drops to `sim.link.enqueues` / `sim.link.drops`, and its
+  /// lane events that fell back to the heap to `sim.lane.out_of_order`, and
+  /// records the heap's high-water mark in `sim.heap.peak_pending`.
   void run();
 
   [[nodiscard]] int num_flows() const {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 
@@ -265,6 +266,67 @@ TEST(MultiHopNetwork, RunPublishesEventsByKindToTelemetry) {
   EXPECT_EQ(counter("sim.link.drops"),
             static_cast<std::int64_t>(net.link(l).packets_dropped()));
   EXPECT_GT(counter("sim.link.drops"), 0);
+  Registry::global().reset_values();
+}
+
+TEST(MultiHopNetwork, RunPublishesTheHeapHighWaterMark) {
+  using telemetry::Registry;
+  Registry::global().reset_values();
+  telemetry::set_enabled(true);
+  MultiHopNetwork net(quick_config());
+  const int l0 = net.add_link(10.0, 10.0, 25);
+  const int l1 = net.add_link(8.0, 5.0, 20);
+  net.add_flow(cc::presets::reno(), {l0, l1});
+  net.add_flow(cc::presets::cubic_linux(), {l1});
+  net.run();
+  telemetry::set_enabled(false);
+
+  const telemetry::RegistrySnapshot snap = Registry::global().snapshot();
+  const auto it = std::find_if(
+      snap.histograms.begin(), snap.histograms.end(),
+      [](const auto& h) { return h.name == "sim.heap.peak_pending"; });
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_EQ(it->data.count, 1u);  // one record per run
+  const std::size_t peak = net.simulator().peak_heap_size();
+  EXPECT_EQ(it->data.max, static_cast<double>(peak));
+  // Packets in propagation and returning ACKs wait in their lanes: the heap
+  // holds about one record per link, flow and timer, not one per packet in
+  // flight.
+  EXPECT_GE(peak, 3u);
+  EXPECT_LE(peak, 24u);
+  Registry::global().reset_values();
+}
+
+TEST(MultiHopNetwork, RunCountsLaneEventsThatFellBackToTheHeap) {
+  using telemetry::Registry;
+  using telemetry::Stability;
+  const auto out_of_order = [] {
+    return Registry::global()
+        .counter("sim.lane.out_of_order", Stability::kDeterministic)
+        .value();
+  };
+  Registry::global().reset_values();
+  telemetry::set_enabled(true);
+  // A fixed delay keeps every delivery and ACK in its lane.
+  MultiHopNetwork steady(quick_config());
+  steady.add_flow(cc::presets::reno(), {steady.add_link(10.0, 20.0, 25)});
+  steady.run();
+  EXPECT_EQ(out_of_order(), 0);
+  EXPECT_EQ(steady.simulator().lane_out_of_order(), 0u);
+
+  // Shrinking the delay mid-run lets packets overtake those already in
+  // propagation; each one is ordered by the heap instead.
+  MultiHopNetwork shrunk(quick_config());
+  const int l = shrunk.add_link(10.0, 20.0, 25);
+  shrunk.add_flow(cc::presets::reno(), {l});
+  shrunk.simulator().schedule_at(SimTime::from_seconds(10.0), [&shrunk, l] {
+    shrunk.mutable_link(l).set_propagation_delay(SimTime::from_millis(5));
+  });
+  shrunk.run();
+  telemetry::set_enabled(false);
+  const std::size_t fell_back = shrunk.simulator().lane_out_of_order();
+  EXPECT_GT(fell_back, 0u);
+  EXPECT_EQ(out_of_order(), static_cast<std::int64_t>(fell_back));
   Registry::global().reset_values();
 }
 
