@@ -43,6 +43,7 @@
 #include "sim/dumbbell.h"
 #include "fluid/network.h"
 #include "sim/event.h"
+#include "sim/link.h"
 #include "sim/network.h"
 #include "sim/queue.h"
 #include "telemetry/telemetry.h"
@@ -134,6 +135,39 @@ void BM_EventKernelTypedChain(benchmark::State& state) {
       per_event(static_cast<double>(state.iterations() * chain));
 }
 BENCHMARK(BM_EventKernelTypedChain)->Arg(10000);
+
+void BM_EventKernelInFlight(benchmark::State& state) {
+  // One link with `in_flight` deliveries pending, about as many events as a
+  // 60 Mbps grid cell keeps pending (a 42 ms RTT holds some 210 packets,
+  // in propagation or returning as ACKs). Each delivered packet re-enters
+  // the link, so transmissions and deliveries alternate at line rate.
+  const int in_flight = static_cast<int>(state.range(0));
+  // 12 Mbps: one 1500-byte packet per ms; the delay holds `in_flight` of
+  // them in propagation, with one more on the wire.
+  const SimTime delay = SimTime::from_millis(in_flight);
+  const SimTime end = SimTime::from_millis(in_flight + 20000);
+  std::size_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    sim::SimLink* loop = nullptr;
+    sim::SimLink link(
+        sim, 12e6, delay,
+        std::make_unique<sim::DropTailQueue>(
+            static_cast<std::size_t>(in_flight) + 1),
+        [&loop](const sim::Packet& p) { loop->send(p); });
+    loop = &link;
+    for (int i = 0; i <= in_flight; ++i) {
+      sim::Packet p;
+      p.seq = static_cast<std::uint64_t>(i);
+      link.send(p);
+    }
+    sim.run_until(end);
+    events += sim.events_processed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["time/event"] = per_event(static_cast<double>(events));
+}
+BENCHMARK(BM_EventKernelInFlight)->Arg(256);
 
 void BM_PacketSimulation(benchmark::State& state) {
   const double seconds = static_cast<double>(state.range(0));
