@@ -11,37 +11,13 @@
 #include <vector>
 
 #include "sim/packet.h"
+#include "sim/ring.h"
 #include "util/rng.h"
 
 namespace axiomcc::sim {
 
-/// A FIFO of packets in a power-of-two ring. It doubles when full and never
-/// shrinks, so a queue that cycles allocates only when it reaches a new
-/// high-water mark. It starts empty: buffers may be configured far larger
-/// than they ever fill.
-class PacketRing {
- public:
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  /// Slots allocated (0 or a power of two).
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-
-  void push_back(const Packet& p) {
-    if (size_ == slots_.size()) grow();
-    slots_[(head_ + size_) & (slots_.size() - 1)] = p;
-    ++size_;
-  }
-
-  /// Removes and returns the oldest packet; the ring must not be empty.
-  Packet pop_front();
-
- private:
-  void grow();
-
-  std::vector<Packet> slots_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
+/// The link buffers' packet FIFO.
+using PacketRing = Ring<Packet>;
 
 /// A bounded packet queue. enqueue returns false when the packet is dropped.
 class QueueDiscipline {
